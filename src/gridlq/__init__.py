@@ -3,19 +3,13 @@ of coupled linear subsystems: KKT reduction to an SPD multiplier system,
 nested block Jacobi preconditioning, and a conjugate gradient driver,
 verified against a dense oracle at small scale."""
 
-from .block_linalg import (
-    BlockBanded,
-    BlockTridiagCholesky,
-    banded_matvec,
-    block_tridiag_factor,
-    block_tridiag_solve,
-    dense_cholesky,
-)
+from .block_linalg import BlockTridiagCholesky, dense_cholesky
 from .errors import (
     BreakdownError,
     DimensionGuardError,
     DimensionMismatchError,
     GridLQError,
+    InvalidProblemError,
     MaxIterationsExceeded,
     NotPositiveDefiniteError,
 )
@@ -28,20 +22,18 @@ from .grid_problem import (
     generate_msd_case,
     load_problem,
     save_problem,
-    state_offsets,
     validate,
 )
 from .kkt_assembly import (
     PairSplitting,
     SchurOperator,
     StackedSystem,
-    apply_delta,
     build_schur,
     build_splitting,
     build_stacked,
     reference_stage_block,
 )
-from .nested_jacobi import NestedJacobiPreconditioner, nbjm_solve
+from .nested_jacobi import NestedJacobiPreconditioner
 from .pcg import SolveReport, cg_solve, pcg_solve
 from .recovery import (
     ConditioningReport,
@@ -56,7 +48,6 @@ from .recovery import (
 )
 
 __all__ = [
-    "BlockBanded",
     "BlockTridiagCholesky",
     "BoundaryData",
     "BreakdownError",
@@ -66,6 +57,7 @@ __all__ = [
     "GridLQError",
     "GridLQProblem",
     "GridLayout",
+    "InvalidProblemError",
     "MaxIterationsExceeded",
     "NestedJacobiPreconditioner",
     "NotPositiveDefiniteError",
@@ -75,10 +67,6 @@ __all__ = [
     "StackedSystem",
     "SubsystemData",
     "TrajectorySolution",
-    "apply_delta",
-    "banded_matvec",
-    "block_tridiag_factor",
-    "block_tridiag_solve",
     "build_schur",
     "build_splitting",
     "build_stacked",
@@ -90,7 +78,6 @@ __all__ = [
     "generate_msd_case",
     "kkt_residual",
     "load_problem",
-    "nbjm_solve",
     "pcg_solve",
     "recover_solution",
     "reference_stage_block",
@@ -98,7 +85,6 @@ __all__ = [
     "simulate_states",
     "spectral_radius",
     "splitting_spectral_radii",
-    "state_offsets",
     "validate",
 ]
 

@@ -1,15 +1,13 @@
-"""Dense kernels and block-banded containers used by every other module.
+"""Dense kernels for small blocks, batched over leading axes.
 
-The per-subsystem blocks in this problem family are tiny (state dimensions
-in the single digits), so the dense kernels are deliberately unblocked
-textbook algorithms; all structure exploitation happens at the block level.
-Matvec and solve routines accept either a flat vector ``(n,)`` or a matrix
-of stacked right-hand sides ``(n, k)``.
+The blocks in this problem family are tiny (state dimensions in the single
+digits), so the kernels are unblocked textbook algorithms whose Python loops
+run over the entries of one block while numpy runs over the batch: a single
+matrix is a batch of none. All structure exploitation happens at the block
+level.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,380 +22,124 @@ PIVOT_RTOL = 1e-14
 SYMMETRY_RTOL = 1e-12
 
 
+def transposed(m):
+    """Transpose of every matrix in a batch."""
+    return m.swapaxes(-1, -2)
+
+
 def symmetry_defect(m):
-    """max |M - M'| normalized by max(1, max |M|)."""
+    """max |M - M'| normalized by max(1, max |M|); the largest over a batch."""
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    return float(np.max(np.abs(m - m.T))) / scale if m.size else 0.0
+    if not m.size:
+        return 0.0
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(m - transposed(m)), axis=(-2, -1))
+        return float(np.max(defect / np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))))
 
 
 def check_symmetric(m, rtol=SYMMETRY_RTOL):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {m.shape}")
     if symmetry_defect(m) > rtol:
         raise DimensionMismatchError("matrix is not symmetric within tolerance")
     return m
 
 
 def dense_cholesky(m):
-    """Lower-triangular L with L @ L.T == m, for symmetric positive definite m.
+    """Lower-triangular L with L @ L.T == m, for symmetric positive definite m
+    or a batch of them.
 
     Unblocked column algorithm. Raises NotPositiveDefiniteError when a pivot
-    falls at or below PIVOT_RTOL times the largest diagonal entry.
+    is not above PIVOT_RTOL times the largest diagonal entry of its matrix,
+    which includes every non-finite pivot.
     """
     m = check_symmetric(m)
-    n = m.shape[0]
-    lower = np.zeros((n, n))
+    n = m.shape[-1]
+    lower = np.zeros_like(m)
     if n == 0:
         return lower
-    tol = PIVOT_RTOL * float(np.max(np.diag(m)))
+    tol = PIVOT_RTOL * np.max(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
     for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= tol:
+        row = lower[..., j, :j]
+        pivot = m[..., j, j] - np.einsum("...k,...k->...", row, row)
+        bad = ~(pivot > tol)
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), np.shape(bad))
+            where = f" of matrix {tuple(int(a) for a in at)}" if at else ""
             raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at index {j} (threshold {tol:.3e})"
+                f"pivot {pivot[at]:.3e} at index {j}{where} (threshold {tol[at]:.3e})"
             )
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+        ljj = np.sqrt(pivot)
+        lower[..., j, j] = ljj
+        lower[..., j + 1 :, j] = (
+            m[..., j + 1 :, j] - np.einsum("...rk,...k->...r", lower[..., j + 1 :, :j], row)
+        ) / ljj[..., None]
     return lower
 
 
 def lower_triangular_inverse(lower):
-    """Invert a lower-triangular matrix by forward substitution."""
+    """Invert lower-triangular matrices by forward substitution."""
     lower = np.asarray(lower, dtype=float)
-    n = lower.shape[0]
     inv = np.zeros_like(lower)
-    for i in range(n):
-        row = -(lower[i, :i] @ inv[:i]) if i else np.zeros(n)
-        row = row.copy()
-        row[i] += 1.0
-        inv[i] = row / lower[i, i]
+    for i in range(lower.shape[-1]):
+        row = -np.einsum("...k,...kc->...c", lower[..., i, :i], inv[..., :i, :])
+        row[..., i] += 1.0
+        inv[..., i, :] = row / lower[..., i, i, None]
     return inv
 
 
 def spd_inverse(m):
-    """Inverse of a small SPD matrix via its Cholesky factor; exactly symmetric."""
+    """Inverse of small SPD matrices via their Cholesky factors; exactly symmetric."""
     linv = lower_triangular_inverse(dense_cholesky(m))
-    inv = linv.T @ linv
-    return 0.5 * (inv + inv.T)
-
-
-def _offsets(sizes):
-    out = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=out[1:])
-    return out
-
-
-class BlockBanded:
-    """Block-banded matrix stored as a map (block row, block col) -> dense block.
-
-    ``bandwidth`` bounds the structure: blocks with |r - c| > bandwidth are
-    structurally absent (1 means block tri-diagonal, 2 block penta-diagonal).
-    Blocks inside the band that were never assigned are zero. Symmetric
-    instances store only the lower block triangle and expose the mirror
-    block (r, c) as (c, r) transposed.
-
-    Instances are treated as immutable once they have been applied to a
-    vector; assemble fully before use.
-    """
-
-    def __init__(self, row_sizes, col_sizes=None, bandwidth=0, symmetric=False):
-        self.row_sizes = [int(s) for s in row_sizes]
-        self.col_sizes = self.row_sizes if col_sizes is None else [int(s) for s in col_sizes]
-        if symmetric and self.row_sizes != self.col_sizes:
-            raise DimensionMismatchError("symmetric storage needs matching row/col sizes")
-        self.bandwidth = int(bandwidth)
-        self.symmetric = bool(symmetric)
-        self.row_offsets = _offsets(self.row_sizes)
-        self.col_offsets = _offsets(self.col_sizes)
-        self.blocks = {}
-        self._diag_cache = None
-
-    @property
-    def rows(self):
-        return int(self.row_offsets[-1])
-
-    @property
-    def cols(self):
-        return int(self.col_offsets[-1])
-
-    @property
-    def n_block_rows(self):
-        return len(self.row_sizes)
-
-    def _store_key(self, r, c, mat):
-        if not (0 <= r < len(self.row_sizes) and 0 <= c < len(self.col_sizes)):
-            raise DimensionMismatchError(f"block index ({r}, {c}) out of range")
-        if abs(r - c) > self.bandwidth:
-            raise DimensionMismatchError(
-                f"block ({r}, {c}) outside declared bandwidth {self.bandwidth}"
-            )
-        if self.symmetric and c > r:
-            r, c, mat = c, r, np.asarray(mat).T
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (self.row_sizes[r], self.col_sizes[c]):
-            raise DimensionMismatchError(
-                f"block ({r}, {c}) has shape {mat.shape}, "
-                f"expected {(self.row_sizes[r], self.col_sizes[c])}"
-            )
-        return r, c, mat
-
-    def set_block(self, r, c, mat):
-        r, c, mat = self._store_key(r, c, mat)
-        self.blocks[(r, c)] = mat
-        self._diag_cache = None
-
-    def add_block(self, r, c, mat):
-        r, c, mat = self._store_key(r, c, mat)
-        if (r, c) in self.blocks:
-            self.blocks[(r, c)] = self.blocks[(r, c)] + mat
-        else:
-            self.blocks[(r, c)] = mat
-        self._diag_cache = None
-
-    def block(self, r, c):
-        """Dense block at (r, c); zeros when absent, mirrored when symmetric."""
-        if self.symmetric and c > r:
-            return self.block(c, r).T
-        got = self.blocks.get((r, c))
-        if got is not None:
-            return got
-        return np.zeros((self.row_sizes[r], self.col_sizes[c]))
-
-    # -- application ------------------------------------------------------
-
-    def _diagonals(self):
-        if self._diag_cache is None:
-            groups = {}
-            for (r, c), blk in self.blocks.items():
-                groups.setdefault(r - c, []).append((r, c, blk))
-            cache = {}
-            for d, entries in groups.items():
-                entries.sort()
-                rs = [e[0] for e in entries]
-                contiguous = rs == list(range(rs[0], rs[0] + len(rs)))
-                uniform = len({e[2].shape for e in entries}) == 1
-                stack = None
-                if contiguous and uniform and len(entries) > 1:
-                    stack = np.stack([e[2] for e in entries])
-                cache[d] = {
-                    "entries": entries,
-                    "r0": rs[0],
-                    "count": len(entries),
-                    "stack": stack,
-                    "stack_t": None,
-                }
-            self._diag_cache = cache
-        return self._diag_cache
-
-    def _acc_diagonal(self, diag, x, out, transposed):
-        stack = diag["stack"]
-        if stack is not None:
-            cnt = diag["count"]
-            r0 = diag["r0"]
-            c0 = r0 - (diag["entries"][0][0] - diag["entries"][0][1])
-            p, q = stack.shape[1], stack.shape[2]
-            if not transposed:
-                seg = x[self.col_offsets[c0] : self.col_offsets[c0] + cnt * q]
-                prod = stack @ seg.reshape(cnt, q, -1)
-                out[self.row_offsets[r0] : self.row_offsets[r0] + cnt * p] += prod.reshape(
-                    cnt * p, -1
-                )
-            else:
-                if diag["stack_t"] is None:
-                    diag["stack_t"] = np.ascontiguousarray(stack.transpose(0, 2, 1))
-                seg = x[self.row_offsets[r0] : self.row_offsets[r0] + cnt * p]
-                prod = diag["stack_t"] @ seg.reshape(cnt, p, -1)
-                out[self.col_offsets[c0] : self.col_offsets[c0] + cnt * q] += prod.reshape(
-                    cnt * q, -1
-                )
-            return
-        ro, co = self.row_offsets, self.col_offsets
-        for r, c, blk in diag["entries"]:
-            if not transposed:
-                out[ro[r] : ro[r + 1]] += blk @ x[co[c] : co[c + 1]]
-            else:
-                out[co[c] : co[c + 1]] += blk.T @ x[ro[r] : ro[r + 1]]
-
-    def _apply(self, x, transpose):
-        x = np.asarray(x, dtype=float)
-        vec = x.ndim == 1
-        if vec:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise DimensionMismatchError("operand must be a vector or a 2-d array")
-        in_len = self.rows if transpose else self.cols
-        out_len = self.cols if transpose else self.rows
-        if x.shape[0] != in_len:
-            raise DimensionMismatchError(
-                f"operand has {x.shape[0]} rows, operator expects {in_len}"
-            )
-        out = np.zeros((out_len, x.shape[1]))
-        if self.symmetric:
-            for d, diag in self._diagonals().items():
-                self._acc_diagonal(diag, x, out, False)
-                if d != 0:
-                    self._acc_diagonal(diag, x, out, True)
-        else:
-            for diag in self._diagonals().values():
-                self._acc_diagonal(diag, x, out, transpose)
-        return out[:, 0] if vec else out
-
-    def matvec(self, x):
-        return self._apply(x, transpose=False)
-
-    def rmatvec(self, x):
-        """Transposed product; identical to matvec for symmetric instances."""
-        if self.symmetric:
-            return self._apply(x, transpose=False)
-        return self._apply(x, transpose=True)
-
-    @property
-    def matvec_flops(self):
-        """Scalar multiplies per single-vector product, counting mirrored blocks."""
-        total = sum(b.size for b in self.blocks.values())
-        if self.symmetric:
-            total += sum(b.size for (r, c), b in self.blocks.items() if r != c)
-        return total
-
-    # -- restructuring ----------------------------------------------------
-
-    def densify(self):
-        out = np.zeros((self.rows, self.cols))
-        ro, co = self.row_offsets, self.col_offsets
-        for (r, c), blk in self.blocks.items():
-            out[ro[r] : ro[r + 1], co[c] : co[c + 1]] = blk
-            if self.symmetric and r != c:
-                out[co[c] : co[c + 1], ro[r] : ro[r + 1]] = blk.T
-        return out
-
-    def pair_rows(self):
-        """Merge consecutive block rows/cols pairwise, halving the bandwidth.
-
-        Turns a block penta-diagonal matrix into a block tri-diagonal one
-        with twice-larger blocks (the last group is a singleton when the
-        block count is odd). Square matrices only.
-        """
-        if self.row_sizes != self.col_sizes:
-            raise DimensionMismatchError("pair_rows requires a square block structure")
-        nb = len(self.row_sizes)
-        groups = [tuple(range(g, min(g + 2, nb))) for g in range(0, nb, 2)]
-        sizes = [sum(self.row_sizes[i] for i in grp) for grp in groups]
-        new_bw = (self.bandwidth + 1) // 2
-        out = BlockBanded(sizes, bandwidth=new_bw, symmetric=self.symmetric)
-        for gr, rows in enumerate(groups):
-            for gc in range(max(0, gr - new_bw), min(len(groups), gr + new_bw + 1)):
-                if self.symmetric and gc > gr:
-                    continue
-                cols = groups[gc]
-                blk = np.block(
-                    [[np.asarray(self.block(r, c)) for c in cols] for r in rows]
-                )
-                if gr == gc or np.any(blk):
-                    out.set_block(gr, gc, blk)
-        return out
-
-
-def banded_matvec(m: BlockBanded, x):
-    """Product m @ x touching only stored blocks."""
-    return m.matvec(x)
+    inv = transposed(linv) @ linv
+    return 0.5 * (inv + transposed(inv))
 
 
 class BlockTridiagCholesky:
-    """Cholesky factorization of an SPD block tri-diagonal matrix.
+    """Cholesky factorization of a batch of SPD block tri-diagonal matrices.
 
-    Stores the lower block bi-diagonal factor (diagonal Cholesky blocks plus
-    sub-diagonal couplings) together with the inverses of the diagonal
-    factors, so each solve is a forward and a backward sweep of small
-    matrix products. Factor and solve cost are linear in the number of
-    block rows at fixed block size.
+    ``diag[r]`` holds the diagonal blocks of block row r and ``sub[r]`` the
+    blocks coupling block row r to block row r - 1 (``sub[0]`` is ignored);
+    the axes between the block row and the two block axes are the batch.
+    Factoring takes one batched step per block row and stores, per row, the
+    inverse of the diagonal Cholesky factor and the scaled coupling, so each
+    solve is a forward and a backward sweep of batched block products.
     """
 
-    def __init__(self, sizes, diag_l, diag_linv, sub, factor_flops):
-        self.sizes = sizes
-        self.offsets = _offsets(sizes)
-        self.diag_l = diag_l
-        self.diag_linv = diag_linv
-        self.sub = sub
-        self.factor_flops = factor_flops
-        self.solve_flops = 0
-        for k, q in enumerate(sizes):
-            self.solve_flops += 2 * q * q
-            if k:
-                self.solve_flops += 2 * q * sizes[k - 1]
-
-    @property
-    def dim(self):
-        return int(self.offsets[-1])
+    def __init__(self, diag, sub):
+        rows, q = diag.shape[0], diag.shape[-1]
+        self.shape = diag.shape[:-1]
+        batch = int(np.prod(diag.shape[1:-2]))
+        self.linv = np.empty_like(diag)
+        self.coupling = np.zeros_like(diag)
+        for r in range(rows):
+            block = diag[r]
+            if r:
+                self.coupling[r] = sub[r] @ transposed(self.linv[r - 1])
+                block = block - self.coupling[r] @ transposed(self.coupling[r])
+                block = 0.5 * (block + transposed(block))
+            self.linv[r] = lower_triangular_inverse(dense_cholesky(block))
+        self.factor_flops = batch * (rows * q**3 / 3.0 + (rows - 1) * 2.0 * q**3)
+        self.solve_flops = batch * (rows * 2 * q * q + (rows - 1) * 2 * q * q)
+        self.dim = int(np.prod(self.shape))
 
     def solve(self, b):
+        """Solve for one or many right-hand sides, ordered like ``diag``'s
+        leading axes and one block row of entries: (dim,) or (dim, k)."""
         b = np.asarray(b, dtype=float)
-        vec = b.ndim == 1
-        if vec:
-            b = b[:, None]
-        if b.shape[0] != self.dim:
+        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
             raise DimensionMismatchError(
-                f"right-hand side has {b.shape[0]} rows, factor expects {self.dim}"
+                f"right-hand side has shape {b.shape}, factor expects {self.dim} rows"
             )
-        nb = len(self.sizes)
-        off = self.offsets
-        work = np.empty_like(b)
-        for k in range(nb):
-            seg = b[off[k] : off[k + 1]]
-            if k:
-                seg = seg - self.sub[k] @ work[off[k - 1] : off[k]]
-            work[off[k] : off[k + 1]] = self.diag_linv[k] @ seg
-        for k in range(nb - 1, -1, -1):
-            seg = work[off[k] : off[k + 1]]
-            if k + 1 < nb:
-                seg = seg - self.sub[k + 1].T @ work[off[k + 1] : off[k + 2]]
-            work[off[k] : off[k + 1]] = self.diag_linv[k].T @ seg
-        return work[:, 0] if vec else work
-
-    def densify_factor(self):
-        """Dense lower block bi-diagonal L with L @ L.T == source."""
-        out = np.zeros((self.dim, self.dim))
-        off = self.offsets
-        for k in range(len(self.sizes)):
-            out[off[k] : off[k + 1], off[k] : off[k + 1]] = self.diag_l[k]
-            if k:
-                out[off[k] : off[k + 1], off[k - 1] : off[k]] = self.sub[k]
-        return out
-
-
-def block_tridiag_factor(m: BlockBanded) -> BlockTridiagCholesky:
-    """Factor a symmetric positive definite block tri-diagonal matrix.
-
-    Wider symmetric bands can be reduced to tri-diagonal form first with
-    ``BlockBanded.pair_rows``.
-    """
-    if not m.symmetric:
-        raise DimensionMismatchError("factorization requires symmetric storage")
-    if m.bandwidth > 1 and any(abs(r - c) > 1 for r, c in m.blocks):
-        raise DimensionMismatchError(
-            "matrix is not block tri-diagonal; call pair_rows() first"
-        )
-    sizes = m.row_sizes
-    diag_l, diag_linv, sub = [], [], [None]
-    flops = 0.0
-    for k, q in enumerate(sizes):
-        schur = np.array(m.block(k, k), dtype=float, copy=True)
-        if k:
-            qp = sizes[k - 1]
-            coupling = m.block(k, k - 1) @ diag_linv[k - 1].T
-            schur -= coupling @ coupling.T
-            schur = 0.5 * (schur + schur.T)
-            sub.append(coupling)
-            flops += q * qp * qp + q * qp * q
-        diag_l.append(dense_cholesky(schur))
-        diag_linv.append(lower_triangular_inverse(diag_l[-1]))
-        flops += q**3 / 3.0
-    return BlockTridiagCholesky(sizes, diag_l, diag_linv, sub, flops)
-
-
-def block_tridiag_solve(factor: BlockTridiagCholesky, b):
-    """Solve the factored system for one or many right-hand sides."""
-    return factor.solve(b)
+        work = b.reshape(self.shape + (-1,)).copy()
+        rows = self.shape[0]
+        for r in range(rows):
+            if r:
+                work[r] -= self.coupling[r] @ work[r - 1]
+            work[r] = self.linv[r] @ work[r]
+        for r in range(rows - 1, -1, -1):
+            if r + 1 < rows:
+                work[r] -= transposed(self.coupling[r + 1]) @ work[r + 1]
+            work[r] = transposed(self.linv[r]) @ work[r]
+        return work.reshape(b.shape)

@@ -11,17 +11,15 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DimensionGuardError, MaxIterationsExceeded
+from .errors import DimensionGuardError, InvalidProblemError, MaxIterationsExceeded
 from .grid_problem import (
     generate_irrigation_case,
     generate_msd_case,
     load_problem,
-    state_offsets,
-    validate,
+    validate,  # noqa: F401  kept importable here: perfbench/spans.py traces it
 )
 from .kkt_assembly import build_schur, build_splitting, build_stacked
 from .nested_jacobi import NestedJacobiPreconditioner
@@ -95,8 +93,7 @@ def _write_output(records, args):
         _emit(records, args, sys.stdout)
 
 
-def _solve_record(problem, label, args, pool):
-    lay = state_offsets(problem)
+def _solve_record(problem, label, args):
     rec = {
         "case": label,
         "K": problem.K,
@@ -106,20 +103,20 @@ def _solve_record(problem, label, args, pool):
         "L": args.L if args.solver in ("pcgm", "nbjm") else None,
         "S": args.S if args.solver == "pcgm" else None,
         "seed": args.seed,
-        "unknowns": lay.n_total,
     }
     status = EXIT_OK
 
-    msgs = validate(problem)
-    if msgs:
-        for msg in msgs:
+    t0 = time.perf_counter()
+    try:
+        stacked = build_stacked(problem)
+    except InvalidProblemError as exc:
+        for msg in exc.messages:
             print(f"invalid problem: {msg}", file=sys.stderr)
         return rec, EXIT_INVALID
-
-    t0 = time.perf_counter()
-    stacked = build_stacked(problem)
     schur = build_schur(stacked)
     assembly_s = time.perf_counter() - t0
+    lay = stacked.layout
+    rec["unknowns"] = lay.n_total
 
     splitting = None
     precond = None
@@ -138,7 +135,7 @@ def _solve_record(problem, label, args, pool):
         if args.solver == "pcgm":
             lam, report = pcg_solve(
                 schur, precond, stacked.offset, tol=args.tol,
-                max_steps=args.max_steps, pool=pool,
+                max_steps=args.max_steps,
             )
             rec["steps"] = report.steps
             rec["converged"] = report.converged
@@ -147,7 +144,7 @@ def _solve_record(problem, label, args, pool):
         elif args.solver == "cg":
             lam, report = cg_solve(
                 schur, stacked.offset, tol=args.tol,
-                max_steps=args.max_steps, pool=pool,
+                max_steps=args.max_steps,
             )
             rec["steps"] = report.steps
             rec["converged"] = report.converged
@@ -156,7 +153,6 @@ def _solve_record(problem, label, args, pool):
         elif args.solver == "nbjm":
             lam, outers = precond.solve(
                 stacked.offset, tol=args.tol, max_outer=args.max_outer,
-                pool=pool,
             )
             rec["steps"] = outers
             rec["converged"] = True
@@ -228,7 +224,9 @@ def _add_common(parser):
     parser.add_argument("--max-steps", type=int, default=None)
     parser.add_argument("--max-outer", type=int, default=50000)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the block-parallel maps")
+                        help="accepted for compatibility (at least 1); the solver "
+                             "runs on one thread and neither results nor speed "
+                             "depend on it")
     parser.add_argument("--max-dense-dim", type=int, default=2000,
                         help="cap for dense solves and conditioning diagnostics")
     parser.add_argument("--omit-timings", action="store_true",
@@ -282,46 +280,43 @@ def _run(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    pool = ThreadPoolExecutor(args.threads) if args.threads > 1 else None
     records = []
     status = EXIT_OK
-    try:
-        for size in sizes:
+    for size in sizes:
+        try:
             problem, label = _build_problem(args, size)
-            rec, code = _solve_record(problem, label, args, pool)
-            records.append(rec)
-            if code != EXIT_OK:
-                status = code
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        except (InvalidProblemError, OSError) as exc:
+            print(f"invalid problem: {exc}", file=sys.stderr)
+            status = EXIT_INVALID
+            break
+        rec, code = _solve_record(problem, label, args)
+        records.append(rec)
+        if code != EXIT_OK:
+            status = code
+            break
     _write_output(records, args)
     return status
 
 
-def _run_single(problem, label, args, solver, pool):
+def _run_single(problem, label, args, solver):
     sub_args = argparse.Namespace(**vars(args))
     sub_args.solver = solver
-    return _solve_record(problem, label, sub_args, pool)
+    return _solve_record(problem, label, sub_args)
 
 
 def _compare(args):
     args.sweep = None
     try:
         _sizes(args)
+        problem, label = _build_problem(args, args.size)
+    except (InvalidProblemError, OSError) as exc:
+        print(f"invalid problem: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    size = args.size
-    pool = ThreadPoolExecutor(args.threads) if args.threads > 1 else None
-    try:
-        problem, label = _build_problem(args, size)
-        rec_a, code_a = _run_single(problem, label, args, args.solver_a, pool)
-        rec_b, code_b = _run_single(problem, label, args, args.solver_b, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    rec_a, code_a = _run_single(problem, label, args, args.solver_a)
+    rec_b, code_b = _run_single(problem, label, args, args.solver_b)
 
     fields = ["solver", "steps", "converged", "final_residual", "objective",
               "kkt_dynamics", "solve_s"]
@@ -350,6 +345,9 @@ def _compare(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_INVALID
     if args.command == "run":
         return _run(args)
     return _compare(args)

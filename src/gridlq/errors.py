@@ -5,6 +5,17 @@ class GridLQError(Exception):
     """Base class for all gridlq errors."""
 
 
+class InvalidProblemError(GridLQError, ValueError):
+    """A problem or problem document is malformed or violates an invariant.
+
+    ``messages`` lists every violation found.
+    """
+
+    def __init__(self, message, messages=()):
+        super().__init__(message)
+        self.messages = list(messages) or [message]
+
+
 class NotPositiveDefiniteError(GridLQError):
     """A matrix assumed symmetric positive definite produced a bad pivot.
 

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_linalg import dense_cholesky, symmetry_defect
-from .errors import NotPositiveDefiniteError
+from .errors import InvalidProblemError, NotPositiveDefiniteError
 
-DIRECTIONS = ("west", "east", "north", "south")
+# (row step, column step) from a subsystem to its neighbour in each direction
+NEIGHBOURS = {"west": (0, -1), "east": (0, 1), "north": (-1, 0), "south": (1, 0)}
+DIRECTIONS = tuple(NEIGHBOURS)
 
 # Forward-Euler step shared by both generators.
 EULER_STEP = 0.1
@@ -80,15 +82,6 @@ class GridLQProblem:
 
     def sub(self, i, j) -> SubsystemData:
         return self.subsystems[i][j]
-
-
-def _neighbor(i, j, direction):
-    return {
-        "west": (i, j - 1),
-        "east": (i, j + 1),
-        "north": (i - 1, j),
-        "south": (i + 1, j),
-    }[direction]
 
 
 def _boundary_signal(boundary, direction, i, j):
@@ -170,30 +163,55 @@ class GridLayout:
         return slice(int(self.col_x_offset[cols[0]]), int(self.col_x_offset[cols[-1] + 1]))
 
 
-def state_offsets(problem: GridLQProblem) -> GridLayout:
-    return GridLayout(problem)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _check_spd(mat, n, what, msgs):
-    mat = np.asarray(mat)
-    if mat.shape != (n, n):
-        msgs.append(f"{what}: shape {mat.shape}, expected {(n, n)}")
-        return
-    if symmetry_defect(mat) > 1e-12:
-        msgs.append(f"{what}: not symmetric")
-        return
-    try:
-        dense_cholesky(mat)
-    except NotPositiveDefiniteError:
-        msgs.append(f"{what}: not positive definite")
+def _checked(seq, count, shape, what, msgs):
+    """``seq`` as one float array of ``count`` matrices of ``shape``, or None
+    after recording why it is not one: wrong stage count, wrong shapes or
+    non-finite entries."""
+    if len(seq) != count:
+        msgs.append(f"{what} has {len(seq)} stages, expected {count}")
+        return None
+    bad = [t for t, mat in enumerate(seq) if np.shape(mat) != shape]
+    for t in bad:
+        msgs.append(f"{what}[{t}] shape {np.shape(seq[t])}, expected {shape}")
+    if bad:
+        return None
+    mats = np.asarray(seq, dtype=float)
+    finite = np.isfinite(mats).reshape(count, -1).all(axis=1)
+    for t in np.flatnonzero(~finite):
+        msgs.append(f"{what}[{t}] has non-finite entries")
+    return mats if finite.all() else None
+
+
+def _check_spd(mats, what, msgs):
+    """Record each matrix of the stack that is not symmetric positive
+    definite; one batched factorization when all of them are."""
+    if symmetry_defect(mats) <= 1e-12:
+        try:
+            dense_cholesky(mats)
+            return
+        except NotPositiveDefiniteError:
+            pass
+    for t, mat in enumerate(mats):
+        if symmetry_defect(mat) > 1e-12:
+            msgs.append(f"{what}[{t}]: not symmetric")
+            continue
+        try:
+            dense_cholesky(mat)
+        except NotPositiveDefiniteError:
+            msgs.append(f"{what}[{t}]: not positive definite")
 
 
 def validate(problem: GridLQProblem) -> list:
-    """Return a list of human-readable invariant violations; empty means valid."""
+    """Return a list of human-readable invariant violations; empty means valid.
+
+    Checks shapes and stage counts, finiteness of every number, symmetric
+    positive definite cost weights, and that off-grid couplings have
+    boundary data.
+    """
     msgs = []
     K, N, T = problem.K, problem.N, problem.T
     if K < 1 or N < 1 or T < 1:
@@ -211,39 +229,19 @@ def validate(problem: GridLQProblem) -> list:
             if n < 1 or m < 1:
                 msgs.append(f"{tag}: dimensions n={n} m={m} must be positive")
                 continue
-            for name, seq, count, shape in (
-                ("A", sub.A, T, (n, n)),
-                ("B", sub.B, T, (n, m)),
-                ("Q", sub.Q, T + 1, (n, n)),
-                ("R", sub.R, T, (m, m)),
-            ):
-                if len(seq) != count:
-                    msgs.append(f"{tag}: {name} has {len(seq)} stages, expected {count}")
-                    continue
-                for t, mat in enumerate(seq):
-                    if np.asarray(mat).shape != shape:
-                        msgs.append(
-                            f"{tag}: {name}[{t}] shape {np.asarray(mat).shape}, expected {shape}"
-                        )
-            for t, mat in enumerate(sub.Q):
-                if np.asarray(mat).shape == (n, n):
-                    _check_spd(mat, n, f"{tag}: Q[{t}]", msgs)
-            for t, mat in enumerate(sub.R):
-                if np.asarray(mat).shape == (m, m):
-                    _check_spd(mat, m, f"{tag}: R[{t}]", msgs)
+            _checked(sub.A, T, (n, n), f"{tag}: A", msgs)
+            _checked(sub.B, T, (n, m), f"{tag}: B", msgs)
+            for name, seq, count, size in (("Q", sub.Q, T + 1, n), ("R", sub.R, T, m)):
+                mats = _checked(seq, count, (size, size), f"{tag}: {name}", msgs)
+                if mats is not None:
+                    _check_spd(mats, f"{tag}: {name}", msgs)
 
-            for direction in DIRECTIONS:
+            for direction, (di, dj) in NEIGHBOURS.items():
                 blocks = sub.coupling(direction)
                 if blocks is None:
                     continue
-                if len(blocks) != T:
-                    msgs.append(
-                        f"{tag}: {direction} coupling has {len(blocks)} stages, expected {T}"
-                    )
-                    continue
-                ni, nj = _neighbor(i, j, direction)
-                if 0 <= ni < K and 0 <= nj < N:
-                    want = problem.sub(ni, nj).n
+                if 0 <= i + di < K and 0 <= j + dj < N:
+                    want = problem.sub(i + di, j + dj).n
                 else:
                     sig = _boundary_signal(problem.boundary, direction, i, j)
                     if sig is None:
@@ -253,14 +251,7 @@ def validate(problem: GridLQProblem) -> list:
                         )
                         continue
                     want = len(np.asarray(sig[0]))
-                for t, blk in enumerate(blocks):
-                    got = np.asarray(blk).shape
-                    if got != (n, want):
-                        msgs.append(
-                            f"{tag}: {direction} coupling[{t}] shape {got}, "
-                            f"expected {(n, want)}"
-                        )
-                        break
+                _checked(blocks, T, (n, want), f"{tag}: {direction} coupling", msgs)
 
     init = problem.boundary.init
     if len(init) != K or any(len(r) != N for r in init):
@@ -268,10 +259,11 @@ def validate(problem: GridLQProblem) -> list:
     else:
         for i in range(K):
             for j in range(N):
-                got = np.asarray(init[i][j]).shape
-                want = (problem.sub(i, j).n,)
+                got, want = np.shape(init[i][j]), (problem.sub(i, j).n,)
                 if got != want:
                     msgs.append(f"initial state ({i}, {j}): shape {got}, expected {want}")
+                elif not np.isfinite(np.asarray(init[i][j], dtype=float)).all():
+                    msgs.append(f"initial state ({i}, {j}) has non-finite entries")
 
     for direction, count in (("north", N), ("south", N), ("west", K), ("east", K)):
         traj = getattr(problem.boundary, direction)
@@ -281,10 +273,8 @@ def validate(problem: GridLQProblem) -> list:
             msgs.append(f"boundary.{direction} has {len(traj)} entries, expected {count}")
             continue
         for idx, seq in enumerate(traj):
-            if len(seq) != T:
-                msgs.append(
-                    f"boundary.{direction}[{idx}] has {len(seq)} stages, expected {T}"
-                )
+            shape = np.shape(seq[0]) if len(seq) else None
+            _checked(seq, T, shape, f"boundary.{direction}[{idx}]", msgs)
     return msgs
 
 
@@ -480,13 +470,21 @@ def problem_to_dict(problem: GridLQProblem) -> dict:
 
 
 def problem_from_dict(data: dict) -> GridLQProblem:
-    if data.get("format") != "grid-lq-problem":
-        raise ValueError("not a grid-lq-problem document")
-    subs = []
-    for row in data["subsystems"]:
-        out_row = []
-        for rec in row:
-            out_row.append(
+    """Problem from its document form.
+
+    Raises InvalidProblemError on another document type, a missing key, a
+    ragged table or an entry of the wrong type; ``validate`` checks the rest.
+    """
+    if not isinstance(data, dict) or data.get("format") != "grid-lq-problem":
+        raise InvalidProblemError("not a grid-lq-problem document")
+    try:
+        K, N, T = (int(data[key]) for key in ("K", "N", "T"))
+        table, bnd = data["subsystems"], data["boundary"]
+        for name, rows in (("subsystems", table), ("boundary.init", bnd["init"])):
+            if len(rows) != K or any(len(row) != N for row in rows):
+                raise InvalidProblemError(f"{name} table is not {K} x {N}")
+        subs = [
+            [
                 SubsystemData(
                     n=int(rec["n"]),
                     m=int(rec["m"]),
@@ -496,21 +494,26 @@ def problem_from_dict(data: dict) -> GridLQProblem:
                     R=_lists_to_mats(rec["R"]),
                     **{d: _lists_to_mats(rec.get(d)) for d in DIRECTIONS},
                 )
-            )
-        subs.append(out_row)
-    bnd = data["boundary"]
-    boundary = BoundaryData(
-        init=[[np.array(g, dtype=float) for g in row] for row in bnd["init"]],
-        **{
-            d: None
-            if bnd.get(d) is None
-            else [[np.array(v, dtype=float) for v in seq] for seq in bnd[d]]
-            for d in DIRECTIONS
-        },
-    )
-    return GridLQProblem(
-        int(data["K"]), int(data["N"]), int(data["T"]), subs, boundary
-    )
+                for rec in row
+            ]
+            for row in table
+        ]
+        boundary = BoundaryData(
+            init=[[np.array(g, dtype=float) for g in row] for row in bnd["init"]],
+            **{
+                d: None
+                if bnd.get(d) is None
+                else [[np.array(v, dtype=float) for v in seq] for seq in bnd[d]]
+                for d in DIRECTIONS
+            },
+        )
+    except InvalidProblemError:
+        raise
+    except KeyError as exc:
+        raise InvalidProblemError(f"problem document lacks key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"malformed problem document: {exc}") from exc
+    return GridLQProblem(K, N, T, subs, boundary)
 
 
 def save_problem(problem: GridLQProblem, path):
@@ -526,4 +529,8 @@ def save_problem(problem: GridLQProblem, path):
 
 def load_problem(path) -> GridLQProblem:
     with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidProblemError(f"{path} is not JSON: {exc}") from exc
+    return problem_from_dict(data)

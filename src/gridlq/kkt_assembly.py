@@ -3,13 +3,14 @@
 Eliminating states and inputs from the first-order optimality conditions of
 the stacked quadratic program leaves one SPD system in the constraint
 multipliers. Its operator is block tri-diagonal across stages; every stage
-diagonal is block penta-diagonal across grid columns, and each of those
-blocks is banded across grid rows. This module assembles that operator
-matrix-free (``SchurOperator``), plus the two-level splitting used by the
-nested Jacobi sweeps: consecutive columns are grouped into pairs, the
-paired diagonal blocks become SPD block tri-diagonal matrices after row
-interleaving (``PairSplitting``), and the inter-pair couplings are applied
-on the fly.
+diagonal is a 13-offset stencil of small dense blocks over (column, row),
+and adjacent stages couple through a 5-offset stencil and its transpose.
+This module assembles that operator (``SchurOperator``) as one ``Stencil``
+over the padded (t, j, i) grid, plus the two-level splitting used by the
+nested Jacobi sweeps: consecutive columns are grouped into pairs, whose
+paired diagonal blocks become SPD block tri-diagonal matrices after pairing
+rows (``PairSplitting``), and the inter-pair couplings are applied on the
+fly.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
 the primal recovery is ``x = -Qinv (A' lam)``, ``u = -Rinv (B' lam)``,
@@ -22,531 +23,225 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_linalg import BlockBanded, block_tridiag_factor, spd_inverse
-from .errors import DimensionGuardError, DimensionMismatchError
-from .grid_problem import GridLQProblem, GridLayout, state_offsets, validate
+from .block_linalg import BlockTridiagCholesky, spd_inverse, transposed
+from .errors import DimensionGuardError, InvalidProblemError
+from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, validate
+from .stencil import Padding, Stencil, scatter_blocks, shifted
 
 DENSIFY_GUARD = 2000
+CENTRE = (0, 0, 0)
 
 
-def _diag_banded(row_sizes, col_sizes, blocks):
-    out = BlockBanded(row_sizes, col_sizes, bandwidth=0)
-    for i, blk in enumerate(blocks):
-        out.set_block(i, i, blk)
-    return out
+def _guard(dim, max_dim):
+    if dim > max_dim:
+        raise DimensionGuardError(f"dense view of dimension {dim} exceeds cap {max_dim}")
 
 
 class StackedSystem:
-    """Stage-stacked constraint, input and cost operators plus the offset
-    vector collecting initial and boundary data."""
+    """Stage-stacked constraint, input and cost operators on the padded
+    grid, plus the natural-layout offset vector collecting initial and
+    boundary data.
 
-    def __init__(self, problem, layout, a_pieces, b_diag, q_blocks, qinv_blocks,
-                 r_blocks, rinv_blocks, offset):
+    ``constraint`` is the stacked constraint map as a stencil: -I at offset
+    (0, 0, 0) and the dynamics and couplings of stage t - 1 at offsets
+    (-1, dj, di). ``b``, ``q``, ``qinv``, ``r`` and ``rinv`` are block arrays
+    over padded (t, j, i); ``b`` and ``r`` have stages 0..T-1 and act on
+    inputs, laid out by ``upad``.
+    """
+
+    def __init__(self, problem, layout, xpad, upad, constraint, b, q, r, offset):
         self.problem = problem
         self.layout = layout
-        self.a_pieces = a_pieces      # [t][(j, jc)] -> BlockBanded over rows
-        self.b_diag = b_diag          # [t][j] -> BlockBanded (states x inputs)
-        self.q_blocks = q_blocks      # [t][j][i] dense
-        self.qinv_blocks = qinv_blocks
-        self.r_blocks = r_blocks
-        self.rinv_blocks = rinv_blocks
+        self.xpad = xpad
+        self.upad = upad
+        self.constraint = constraint
+        self.constraint_t = constraint.transpose()
+        self.b = b
+        self.q, self.qinv = q, spd_inverse(q)
+        self.r, self.rinv = r, spd_inverse(r)
         self.offset = offset
-
-    # -- stage helpers ------------------------------------------------------
-
-    def _a_stage_apply(self, t, xt):
-        lay = self.layout
-        out = np.zeros_like(xt)
-        for (j, jc), piece in self.a_pieces[t].items():
-            out[lay.col_x_slice(j)] += piece.matvec(xt[lay.col_x_slice(jc)])
-        return out
-
-    def _a_stage_apply_t(self, t, dt):
-        lay = self.layout
-        out = np.zeros_like(dt)
-        for (j, jc), piece in self.a_pieces[t].items():
-            out[lay.col_x_slice(jc)] += piece.rmatvec(dt[lay.col_x_slice(j)])
-        return out
-
-    def _diag_apply(self, blocks, sizes_per_col, x, offs):
-        out = np.zeros_like(x)
-        for j, col in enumerate(blocks):
-            lo = offs[j]
-            for i, blk in enumerate(col):
-                s = slice(lo, lo + blk.shape[1])
-                o = slice(lo, lo + blk.shape[0])
-                out[o] = blk @ x[s]
-                lo += blk.shape[1]
-        return out
-
-    # -- full-horizon applies -----------------------------------------------
 
     def apply_constraint(self, x):
         """Stacked constraint map: stage 0 row is -x_0, stage t+1 row is
         A_t x_t - x_{t+1}."""
-        lay = self.layout
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[lay.stage_x_slice(0)] = -x[lay.stage_x_slice(0)]
-        for t in range(lay.T):
-            out[lay.stage_x_slice(t + 1)] = self._a_stage_apply(
-                t, x[lay.stage_x_slice(t)]
-            ) - x[lay.stage_x_slice(t + 1)]
-        return out
+        return self.constraint.apply(x)
 
     def apply_constraint_t(self, d):
-        lay = self.layout
-        d = np.asarray(d, dtype=float)
-        out = -d.copy()
-        for t in range(lay.T):
-            out[lay.stage_x_slice(t)] += self._a_stage_apply_t(
-                t, d[lay.stage_x_slice(t + 1)]
-            )
-        return out
+        return self.constraint_t.apply(d)
 
     def apply_input_map(self, u):
-        lay = self.layout
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(lay.n_total)
-        for t in range(lay.T):
-            ut = u[lay.stage_u_slice(t)]
-            yt = out[lay.stage_x_slice(t + 1)]
-            for j, piece in enumerate(self.b_diag[t]):
-                yt[lay.col_x_slice(j)] += piece.matvec(
-                    ut[lay.col_u_offset[j] : lay.col_u_offset[j + 1]]
-                )
-        return out
+        up = self.upad.pad(u)
+        out = np.zeros(self.xpad.shape + up.shape[-1:])
+        out[1:] = self.b @ up
+        return self.xpad.unpad(out, np.ndim(u) == 1)
 
     def apply_input_map_t(self, d):
-        lay = self.layout
-        d = np.asarray(d, dtype=float)
-        out = np.zeros(lay.m_total)
-        for t in range(lay.T):
-            dt = d[lay.stage_x_slice(t + 1)]
-            ut = out[lay.stage_u_slice(t)]
-            for j, piece in enumerate(self.b_diag[t]):
-                ut[lay.col_u_offset[j] : lay.col_u_offset[j + 1]] += piece.rmatvec(
-                    dt[lay.col_x_slice(j)]
-                )
-        return out
-
-    def _cost_apply(self, table, x, per_stage, stage_slice, offs):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for t in range(per_stage):
-            xt = x[stage_slice(t)]
-            yt = out[stage_slice(t)]
-            lo = 0
-            for col in table[t]:
-                for blk in col:
-                    yt[lo : lo + blk.shape[0]] = blk @ xt[lo : lo + blk.shape[0]]
-                    lo += blk.shape[0]
-        return out
+        return self.upad.unpad(transposed(self.b) @ self.xpad.pad(d)[1:], np.ndim(d) == 1)
 
     def apply_cost_x(self, x):
-        lay = self.layout
-        return self._cost_apply(self.q_blocks, x, lay.T + 1, lay.stage_x_slice, None)
+        return self.xpad.unpad(self.q @ self.xpad.pad(x), np.ndim(x) == 1)
 
     def apply_cost_inverse_x(self, x):
-        lay = self.layout
-        return self._cost_apply(self.qinv_blocks, x, lay.T + 1, lay.stage_x_slice, None)
+        return self.xpad.unpad(self.qinv @ self.xpad.pad(x), np.ndim(x) == 1)
 
     def apply_cost_u(self, u):
-        lay = self.layout
-        return self._cost_apply(self.r_blocks, u, lay.T, lay.stage_u_slice, None)
+        return self.upad.unpad(self.r @ self.upad.pad(u), np.ndim(u) == 1)
 
     def apply_cost_inverse_u(self, u):
-        lay = self.layout
-        return self._cost_apply(self.rinv_blocks, u, lay.T, lay.stage_u_slice, None)
+        return self.upad.unpad(self.rinv @ self.upad.pad(u), np.ndim(u) == 1)
 
     # -- dense views (tests and oracles only) --------------------------------
 
-    def _guard(self, max_dim):
-        if self.layout.n_total > max_dim:
-            raise DimensionGuardError(
-                f"dense view of dimension {self.layout.n_total} exceeds cap {max_dim}"
-            )
-
     def densify_constraint(self, max_dim=DENSIFY_GUARD):
-        self._guard(max_dim)
-        lay = self.layout
-        out = np.zeros((lay.n_total, lay.n_total))
-        eye = np.eye(lay.nhat)
-        for t in range(lay.T + 1):
-            s = lay.stage_x_slice(t)
-            out[s, s] = -eye
-        for t in range(lay.T):
-            rows = lay.stage_x_slice(t + 1)
-            cols = lay.stage_x_slice(t)
-            blk = np.zeros((lay.nhat, lay.nhat))
-            for (j, jc), piece in self.a_pieces[t].items():
-                blk[lay.col_x_slice(j), lay.col_x_slice(jc)] = piece.densify()
-            out[rows, cols] = blk
-        return out
+        _guard(self.layout.n_total, max_dim)
+        return self.constraint.densify()
 
     def densify_input_map(self, max_dim=DENSIFY_GUARD):
-        self._guard(max_dim)
-        lay = self.layout
-        out = np.zeros((lay.n_total, lay.m_total))
-        for t in range(lay.T):
-            for j, piece in enumerate(self.b_diag[t]):
-                rows = slice(
-                    (t + 1) * lay.nhat + lay.col_x_offset[j],
-                    (t + 1) * lay.nhat + lay.col_x_offset[j + 1],
-                )
-                cols = slice(
-                    t * lay.mhat + lay.col_u_offset[j],
-                    t * lay.mhat + lay.col_u_offset[j + 1],
-                )
-                out[rows, cols] = piece.densify()
+        _guard(self.layout.n_total, max_dim)
+        out = np.zeros((self.layout.n_total, self.layout.m_total))
+        rows = self.xpad.natural_positions()[1:]
+        scatter_blocks(out, rows, self.upad.natural_positions(), self.b)
         return out
 
 
 def build_stacked(problem: GridLQProblem) -> StackedSystem:
     """Assemble the stacked operators and the offset vector.
 
-    Raises ValueError with the collected messages when validate() fails.
+    Raises InvalidProblemError, a ValueError, with the collected messages
+    when validate() fails.
     """
     msgs = validate(problem)
     if msgs:
-        raise ValueError("invalid problem: " + "; ".join(msgs))
-    lay = state_offsets(problem)
+        raise InvalidProblemError("invalid problem: " + "; ".join(msgs), msgs)
+    lay = GridLayout(problem)
     K, N, T = problem.K, problem.N, problem.T
+    xpad = Padding(lay.n, T + 1)
+    upad = Padding(lay.m, T)
+    nb = xpad.block
 
-    a_pieces = []
-    b_diag = []
-    for t in range(T):
-        pieces = {}
-        for j in range(N):
-            diag = BlockBanded(lay.col_n[j], bandwidth=1)
-            for i in range(K):
-                sub = problem.sub(i, j)
-                diag.set_block(i, i, sub.A[t])
-                if i > 0 and sub.north is not None:
-                    diag.set_block(i, i - 1, sub.north[t])
-                if i < K - 1 and sub.south is not None:
-                    diag.set_block(i, i + 1, sub.south[t])
-            pieces[(j, j)] = diag
-            if j > 0:
-                west = [
-                    problem.sub(i, j).west[t]
-                    if problem.sub(i, j).west is not None
-                    else np.zeros((lay.n[i][j], lay.n[i][j - 1]))
-                    for i in range(K)
-                ]
-                if any(np.any(w) for w in west):
-                    pieces[(j, j - 1)] = _diag_banded(lay.col_n[j], lay.col_n[j - 1], west)
-            if j < N - 1:
-                east = [
-                    problem.sub(i, j).east[t]
-                    if problem.sub(i, j).east is not None
-                    else np.zeros((lay.n[i][j], lay.n[i][j + 1]))
-                    for i in range(K)
-                ]
-                if any(np.any(e) for e in east):
-                    pieces[(j, j + 1)] = _diag_banded(lay.col_n[j], lay.col_n[j + 1], east)
-        a_pieces.append(pieces)
-        b_diag.append(
-            [
-                _diag_banded(lay.col_n[j], lay.col_m[j],
-                             [problem.sub(i, j).B[t] for i in range(K)])
-                for j in range(N)
-            ]
-        )
+    constraint = {CENTRE: np.broadcast_to(-np.eye(nb), xpad.grid + (nb, nb)).copy()}
+    for field, (di, dj) in (("A", (0, 0)),) + tuple(NEIGHBOURS.items()):
+        blocks = np.zeros(xpad.grid + (nb, nb))
+        blocks[1:] = xpad.stack(problem, field, T, nb, toward=(di, dj))
+        constraint[(-1, dj, di)] = blocks
 
-    q_blocks = [
-        [[np.asarray(problem.sub(i, j).Q[t], dtype=float) for i in range(K)]
-         for j in range(N)]
-        for t in range(T + 1)
-    ]
-    qinv_blocks = [
-        [[spd_inverse(problem.sub(i, j).Q[t]) for i in range(K)] for j in range(N)]
-        for t in range(T + 1)
-    ]
-    r_blocks = [
-        [[np.asarray(problem.sub(i, j).R[t], dtype=float) for i in range(K)]
-         for j in range(N)]
-        for t in range(T)
-    ]
-    rinv_blocks = [
-        [[spd_inverse(problem.sub(i, j).R[t]) for i in range(K)] for j in range(N)]
-        for t in range(T)
-    ]
-
-    offset = np.zeros(lay.n_total)
+    offset = np.zeros(xpad.shape)
     bnd = problem.boundary
     for i in range(K):
         for j in range(N):
-            offset[lay.x_slice(i, j, 0)] = np.asarray(bnd.init[i][j], dtype=float)
-    for t in range(T):
-        for i in range(K):
-            for j in range(N):
-                sub = problem.sub(i, j)
-                acc = None
-                for direction, at_edge in (
-                    ("north", i == 0),
-                    ("south", i == K - 1),
-                    ("west", j == 0),
-                    ("east", j == N - 1),
-                ):
-                    blocks = sub.coupling(direction)
-                    if not at_edge or blocks is None:
-                        continue
-                    traj = getattr(bnd, direction)
-                    if traj is None:
-                        continue
-                    sig = traj[j if direction in ("north", "south") else i][t]
-                    term = np.asarray(blocks[t]) @ np.asarray(sig, dtype=float)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    offset[lay.x_slice(i, j, t + 1)] += acc
-    return StackedSystem(problem, lay, a_pieces, b_diag, q_blocks, qinv_blocks,
-                         r_blocks, rinv_blocks, offset)
+            sub = problem.sub(i, j)
+            offset[0, j, i, : sub.n] = bnd.init[i][j]
+            for direction, (di, dj) in NEIGHBOURS.items():
+                blocks, traj = sub.coupling(direction), getattr(bnd, direction)
+                if blocks is None or traj is None or (0 <= i + di < K and 0 <= j + dj < N):
+                    continue
+                sig = np.asarray(traj[j if di else i], dtype=float)[..., None]
+                offset[1:, j, i, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
+
+    return StackedSystem(
+        problem, lay, xpad, upad, Stencil(constraint, xpad),
+        b=xpad.stack(problem, "B", T, upad.block),
+        q=xpad.stack(problem, "Q", T + 1, nb, unit=True),
+        r=upad.stack(problem, "R", T, upad.block, unit=True),
+        offset=xpad.unpad(offset, True),
+    )
 
 
 # ---------------------------------------------------------------------------
 # reduced multiplier operator
 
 
-def _accumulate_product(target, a_piece, diag, b_piece, lower_only):
-    """target += a_piece @ blkdiag(diag) @ b_piece', block-wise."""
-    by_col = {}
-    for (r, c), blk in b_piece.blocks.items():
-        by_col.setdefault(c, []).append((r, blk))
-    for (r, k), ablk in a_piece.blocks.items():
-        hits = by_col.get(k)
-        if not hits:
-            continue
-        pre = ablk @ diag[k]
-        for c, bblk in hits:
-            if lower_only and c > r:
-                continue
-            target.add_block(r, c, pre @ bblk.T)
+class _BlockView:
+    """``view[t][(j, jc)].densify()`` is the dense block of the operator
+    coupling column jc of stage t into column j of stage t + ``shift``."""
+
+    def __init__(self, op, shift, key=()):
+        self.op, self.shift, self.key = op, shift, key
+
+    def __getitem__(self, key):
+        return _BlockView(self.op, self.shift, self.key + (key,))
+
+    def densify(self):
+        t, (j, jc) = self.key
+        lay = self.op.layout
+        dense = self.op.densify()[lay.stage_x_slice(t + self.shift), lay.stage_x_slice(t)]
+        return dense[lay.col_x_slice(j), lay.col_x_slice(jc)]
 
 
 class SchurOperator:
-    """Matrix-free reduced multiplier operator.
+    """Matrix-free reduced multiplier operator: one stencil over padded
+    (t, j, i).
 
-    ``stage_diag[t]`` maps (j, jc) with jc <= j to the banded-over-rows
-    column blocks of the stage-t diagonal (the (j, j) entries are symmetric
-    and store only their lower row triangle). ``stage_coupling[t]`` holds
-    the sub-diagonal stage block coupling stage t into stage t+1; the
-    super-diagonal is its transpose, shared storage, so the densified
-    operator is exactly symmetric.
+    Offsets (0, dj, di) form the stage diagonals, (-1, dj, di) couple stage
+    t - 1 into stage t and (1, dj, di) are their transposes. Built from the
+    lower offsets (those whose source precedes the destination in the
+    natural order) by mirroring, so the operator is exactly symmetric.
+    ``diag`` holds the stage diagonals alone and ``outer`` the negated stage
+    couplings (the outer splitting's C). ``stage_diag[t][(j, jc)]`` and
+    ``stage_coupling[t][(j, jc)]`` are dense views of single column blocks.
     """
 
-    def __init__(self, layout: GridLayout, stage_diag, stage_coupling):
+    def __init__(self, layout: GridLayout, lower: Stencil):
+        pad = lower.padding
+        strict = Stencil({o: w for o, w in lower.weights.items() if o != CENTRE}, pad)
+        weights = {**lower.weights, **strict.transpose().weights}
         self.layout = layout
-        self.stage_diag = stage_diag
-        self.stage_coupling = stage_coupling
+        self.padding = pad
         self.dim = layout.n_total
         self.pairs = layout.pairs
+        self.stencil = Stencil(weights, pad)
+        self.diag = Stencil({o: w for o, w in weights.items() if not o[0]}, pad)
+        self.outer = Stencil({o: -w for o, w in weights.items() if o[0]}, pad)
+        self.matvec_flops = self.stencil.flops
+        self.outer_coupling_flops = self.outer.flops
 
-    # -- stage-level pieces ---------------------------------------------
+    # views are made on access: stored, they would form a reference cycle
+    # that keeps the operator's arrays alive until the cyclic collector runs
+    @property
+    def stage_diag(self):
+        return _BlockView(self, 0)
 
-    def apply_stage_diag(self, t, xt):
-        lay = self.layout
-        out = np.zeros_like(xt)
-        for (j, jc), piece in self.stage_diag[t].items():
-            out[lay.col_x_slice(j)] += piece.matvec(xt[lay.col_x_slice(jc)])
-            if j != jc:
-                out[lay.col_x_slice(jc)] += piece.rmatvec(xt[lay.col_x_slice(j)])
-        return out
+    @property
+    def stage_coupling(self):
+        return _BlockView(self, 1)
 
-    def _coupling_apply(self, t, xt):
-        lay = self.layout
-        out = np.zeros_like(xt)
-        for (j, jc), piece in self.stage_coupling[t].items():
-            out[lay.col_x_slice(j)] += piece.matvec(xt[lay.col_x_slice(jc)])
-        return out
-
-    def _coupling_apply_t(self, t, xt):
-        lay = self.layout
-        out = np.zeros_like(xt)
-        for (j, jc), piece in self.stage_coupling[t].items():
-            out[lay.col_x_slice(jc)] += piece.rmatvec(xt[lay.col_x_slice(j)])
-        return out
-
-    # -- full operator ----------------------------------------------------
-
-    def _promote(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"operand has {x.shape[0]} rows, operator dimension is {self.dim}"
-            )
-        return x
-
-    def _stage_row(self, t, x):
-        lay = self.layout
-        xt = x[lay.stage_x_slice(t)]
-        row = self.apply_stage_diag(t, xt)
-        if t > 0:
-            row += self._coupling_apply(t - 1, x[lay.stage_x_slice(t - 1)])
-        if t < lay.T:
-            row += self._coupling_apply_t(t, x[lay.stage_x_slice(t + 1)])
-        return row
-
-    def apply(self, x, pool=None):
-        """Operator product; stage rows are independent tasks."""
-        x = self._promote(x)
-        out = np.empty_like(x)
-        lay = self.layout
-
-        def run(t):
-            out[lay.stage_x_slice(t)] = self._stage_row(t, x)
-
-        if pool is None:
-            for t in range(lay.T + 1):
-                run(t)
-        else:
-            list(pool.map(run, range(lay.T + 1)))
-        return out
-
-    def apply_block_diag(self, x):
-        """Stage-block-diagonal part alone (the outer splitting's D)."""
-        x = self._promote(x)
-        out = np.empty_like(x)
-        lay = self.layout
-        for t in range(lay.T + 1):
-            out[lay.stage_x_slice(t)] = self.apply_stage_diag(t, x[lay.stage_x_slice(t)])
-        return out
+    def apply(self, x):
+        """Operator product with a vector (dim,) or stacked columns (dim, k)."""
+        return self.stencil.apply(x)
 
     def apply_outer_coupling(self, x):
         """The outer splitting's C = D - operator: negated stage couplings."""
-        x = self._promote(x)
-        out = np.zeros_like(x)
-        lay = self.layout
-        for t in range(lay.T + 1):
-            row = out[lay.stage_x_slice(t)]
-            if t > 0:
-                row -= self._coupling_apply(t - 1, x[lay.stage_x_slice(t - 1)])
-            if t < lay.T:
-                row -= self._coupling_apply_t(t, x[lay.stage_x_slice(t + 1)])
-        return out
-
-    # -- bookkeeping --------------------------------------------------------
-
-    @property
-    def matvec_flops(self):
-        total = 0
-        for pieces in self.stage_diag:
-            for (j, jc), piece in pieces.items():
-                total += piece.matvec_flops if j == jc else 2 * piece.matvec_flops
-        for pieces in self.stage_coupling:
-            total += 2 * sum(p.matvec_flops for p in pieces.values())
-        return total
-
-    @property
-    def outer_coupling_flops(self):
-        return 2 * sum(
-            sum(p.matvec_flops for p in pieces.values())
-            for pieces in self.stage_coupling
-        )
-
-    def _guard(self, max_dim):
-        if self.dim > max_dim:
-            raise DimensionGuardError(
-                f"dense view of dimension {self.dim} exceeds cap {max_dim}"
-            )
+        return self.outer.apply(x)
 
     def densify(self, max_dim=DENSIFY_GUARD):
-        self._guard(max_dim)
-        lay = self.layout
-        out = np.zeros((self.dim, self.dim))
-        for t in range(lay.T + 1):
-            s = lay.stage_x_slice(t)
-            blk = np.zeros((lay.nhat, lay.nhat))
-            for (j, jc), piece in self.stage_diag[t].items():
-                blk[lay.col_x_slice(j), lay.col_x_slice(jc)] = piece.densify()
-                if j != jc:
-                    blk[lay.col_x_slice(jc), lay.col_x_slice(j)] = piece.densify().T
-            out[s, s] = blk
-        for t in range(lay.T):
-            blk = np.zeros((lay.nhat, lay.nhat))
-            for (j, jc), piece in self.stage_coupling[t].items():
-                blk[lay.col_x_slice(j), lay.col_x_slice(jc)] = piece.densify()
-            out[lay.stage_x_slice(t + 1), lay.stage_x_slice(t)] = blk
-            out[lay.stage_x_slice(t), lay.stage_x_slice(t + 1)] = blk.T
-        return out
+        _guard(self.dim, max_dim)
+        return self.stencil.densify()
 
     def densify_block_diag(self, max_dim=DENSIFY_GUARD):
-        self._guard(max_dim)
-        lay = self.layout
-        out = np.zeros((self.dim, self.dim))
-        for t in range(lay.T + 1):
-            s = lay.stage_x_slice(t)
-            blk = np.zeros((lay.nhat, lay.nhat))
-            for (j, jc), piece in self.stage_diag[t].items():
-                blk[lay.col_x_slice(j), lay.col_x_slice(jc)] = piece.densify()
-                if j != jc:
-                    blk[lay.col_x_slice(jc), lay.col_x_slice(j)] = piece.densify().T
-            out[s, s] = blk
-        return out
+        _guard(self.dim, max_dim)
+        return self.diag.densify()
 
 
 def build_schur(stacked: StackedSystem) -> SchurOperator:
-    """Assemble the stage diagonals and stage couplings of the reduced
-    operator from the stacked data."""
-    lay = stacked.layout
-    N, T, K = lay.N, lay.T, lay.K
+    """Assemble the reduced operator A Qinv A' + B Rinv B' as a stencil.
 
-    stage_diag = []
-    for t in range(T + 1):
-        pieces = {}
-        for j in range(N):
-            diag = BlockBanded(lay.col_n[j], bandwidth=2, symmetric=True)
-            for i in range(K):
-                diag.add_block(i, i, stacked.qinv_blocks[t][j][i])
-            pieces[(j, j)] = diag
-        if t >= 1:
-            ap = stacked.a_pieces[t - 1]
-            qi = stacked.qinv_blocks[t - 1]
-            for k in range(N):
-                sharing = [(j, piece) for (j, kc), piece in ap.items() if kc == k]
-                for j, piece_j in sharing:
-                    for jp, piece_jp in sharing:
-                        if jp > j:
-                            continue
-                        if jp == j:
-                            _accumulate_product(
-                                pieces[(j, j)], piece_j, qi[k], piece_jp, True
-                            )
-                        else:
-                            tgt = pieces.get((j, jp))
-                            if tgt is None:
-                                tgt = BlockBanded(
-                                    lay.col_n[j], lay.col_n[jp], bandwidth=2 - (j - jp)
-                                )
-                                pieces[(j, jp)] = tgt
-                            _accumulate_product(tgt, piece_j, qi[k], piece_jp, False)
-            for j in range(N):
-                for i in range(K):
-                    b = np.asarray(stacked.problem.sub(i, j).B[t - 1], dtype=float)
-                    term = b @ stacked.rinv_blocks[t - 1][j][i] @ b.T
-                    pieces[(j, j)].add_block(i, i, 0.5 * (term + term.T))
-        for (j, jc), piece in pieces.items():
-            if j == jc:
-                for i in range(K):
-                    if (i, i) in piece.blocks:
-                        blk = piece.blocks[(i, i)]
-                        piece.blocks[(i, i)] = 0.5 * (blk + blk.T)
-        stage_diag.append(pieces)
-
-    stage_coupling = []
-    for t in range(T):
-        pieces = {}
-        for (j, jc), piece in stacked.a_pieces[t].items():
-            out = BlockBanded(piece.row_sizes, piece.col_sizes, piece.bandwidth)
-            for (r, c), blk in piece.blocks.items():
-                out.set_block(r, c, -(blk @ stacked.qinv_blocks[t][jc][c]))
-            pieces[(j, jc)] = out
-        stage_coupling.append(pieces)
-    return SchurOperator(lay, stage_diag, stage_coupling)
-
-
-def apply_delta(schur: SchurOperator, x, pool=None):
-    """Product of the reduced multiplier operator with x."""
-    return schur.apply(x, pool=pool)
+    The product of the constraint stencil with itself accumulates one
+    batched block product per pair of offsets (a, b) into offset a - b;
+    only the lower offsets are formed.
+    """
+    weights = stacked.constraint.weights
+    terms = {}
+    for a, wa in weights.items():
+        scaled = wa @ shifted(stacked.qinv, a)
+        for b, wb in weights.items():
+            o = tuple(x - y for x, y in zip(a, b))
+            if o <= CENTRE:
+                term = scaled @ transposed(shifted(wb, o))
+                terms[o] = terms[o] + term if o in terms else term
+    centre = terms[CENTRE]
+    centre[1:] += stacked.b @ stacked.rinv @ transposed(stacked.b)
+    terms[CENTRE] = 0.5 * (centre + transposed(centre))
+    return SchurOperator(stacked.layout, Stencil(terms, stacked.xpad))
 
 
 # ---------------------------------------------------------------------------
@@ -554,147 +249,59 @@ def apply_delta(schur: SchurOperator, x, pool=None):
 
 
 class PairSplitting:
-    """Groups grid columns into consecutive pairs and extracts, for every
-    (pair, stage), the SPD paired diagonal block in row-interleaved order
-    (block tri-diagonal after pairing rows), leaving the negated inter-pair
-    couplings to be applied on the fly.
+    """Groups grid columns (j, j + 1), j even, into pairs and splits every
+    stage diagonal into its pair-diagonal part and the negated inter-pair
+    couplings (the inner splitting's C term), applied on the fly.
 
-    The extraction is programmatic from the assembled stage diagonals, so
-    the reconstruction ``pair-diagonal minus couplings = stage diagonal``
-    holds exactly, block for block.
+    Both parts are masks of the stage-diagonal stencil, so the
+    reconstruction ``pair-diagonal minus couplings = stage diagonal`` holds
+    exactly, block for block.
     """
 
     def __init__(self, schur: SchurOperator):
         self.schur = schur
-        lay = schur.layout
-        self.layout = lay
-        self.pairs = lay.pairs
-        self.pair_perm = [self._perm(v) for v in range(len(self.pairs))]
-        self.cross_keys = [self._cross(v) for v in range(len(self.pairs))]
-        self.pair_blocks = {}
-        for t in range(lay.T + 1):
-            for v in range(len(self.pairs)):
-                self.pair_blocks[(v, t)] = self._extract(v, t)
-
-    def _perm(self, v):
-        lay = self.layout
-        cols = self.pairs[v]
-        if len(cols) == 1:
-            return np.arange(lay.nbar[cols[0]], dtype=np.intp)
-        ja, jb = cols
-        base_b = lay.nbar[ja]
-        out = []
-        for i in range(lay.K):
-            out.extend(range(lay.sub_x_offset[ja][i], lay.sub_x_offset[ja][i + 1]))
-            out.extend(
-                base_b + k
-                for k in range(lay.sub_x_offset[jb][i], lay.sub_x_offset[jb][i + 1])
-            )
-        return np.array(out, dtype=np.intp)
-
-    def _cross(self, v):
-        if v == 0:
-            return []
-        return [
-            (j, jc)
-            for j in self.pairs[v]
-            for jc in self.pairs[v - 1]
-            if j - jc <= 2
-        ]
-
-    def _extract(self, v, t):
-        lay = self.layout
-        pieces = self.schur.stage_diag[t]
-        cols = self.pairs[v]
-        if len(cols) == 1:
-            sup = pieces[(cols[0], cols[0])]
-        else:
-            ja, jb = cols
-            p_aa = pieces[(ja, ja)]
-            p_bb = pieces[(jb, jb)]
-            p_ba = pieces.get((jb, ja))
-            sizes = [lay.n[i][ja] + lay.n[i][jb] for i in range(lay.K)]
-            sup = BlockBanded(sizes, bandwidth=2, symmetric=True)
-            for i in range(lay.K):
-                for ic in range(max(0, i - 2), i + 1):
-                    blk_ab = (
-                        p_ba.block(ic, i).T
-                        if p_ba is not None
-                        else np.zeros((lay.n[i][ja], lay.n[ic][jb]))
-                    )
-                    blk_ba = (
-                        p_ba.block(i, ic)
-                        if p_ba is not None
-                        else np.zeros((lay.n[i][jb], lay.n[ic][ja]))
-                    )
-                    sup.set_block(
-                        i,
-                        ic,
-                        np.block(
-                            [
-                                [p_aa.block(i, ic), blk_ab],
-                                [blk_ba, p_bb.block(i, ic)],
-                            ]
-                        ),
-                    )
-        tri = sup.pair_rows()
-        return tri
-
-    # -- application -------------------------------------------------------
+        self.layout = schur.layout
+        self.pairs = schur.pairs
+        pad = schur.padding
+        cols = np.arange(pad.grid[1])
+        pair, inner = {}, {}
+        for o, w in schur.diag.weights.items():
+            cross = (cols // 2 != (cols + o[1]) // 2)[:, None, None, None]
+            pair[o] = np.where(cross, 0.0, w)
+            inner[o] = np.where(cross, -w, 0.0)
+        self.pair_diag = Stencil(pair, pad)
+        self.inner = Stencil(inner, pad)
+        self.inner_coupling_flops = self.inner.flops
 
     def apply_inner_coupling(self, x):
-        """Negated inter-pair couplings of every stage diagonal (the inner
-        splitting's C term)."""
-        lay = self.layout
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in range(lay.T + 1):
-            xt = x[lay.stage_x_slice(t)]
-            ot = out[lay.stage_x_slice(t)]
-            pieces = self.schur.stage_diag[t]
-            for v in range(1, len(self.pairs)):
-                for j, jc in self.cross_keys[v]:
-                    piece = pieces.get((j, jc))
-                    if piece is None:
-                        continue
-                    ot[lay.col_x_slice(j)] -= piece.matvec(xt[lay.col_x_slice(jc)])
-                    ot[lay.col_x_slice(jc)] -= piece.rmatvec(xt[lay.col_x_slice(j)])
-        return out
-
-    @property
-    def inner_coupling_flops(self):
-        lay = self.layout
-        total = 0
-        for t in range(lay.T + 1):
-            pieces = self.schur.stage_diag[t]
-            for v in range(1, len(self.pairs)):
-                for key in self.cross_keys[v]:
-                    piece = pieces.get(key)
-                    if piece is not None:
-                        total += 2 * piece.matvec_flops
-        return total
-
-    def pair_global_indices(self, v, t):
-        """Global positions of the interleaved local ordering of (v, t)."""
-        lay = self.layout
-        start = t * lay.nhat + lay.pair_x_slice(v).start
-        return start + self.pair_perm[v]
+        """Negated inter-pair couplings of every stage diagonal."""
+        return self.inner.apply(x)
 
     def densify_pair_diag(self, max_dim=DENSIFY_GUARD):
         """Dense block diagonal of all paired blocks, in global ordering."""
-        if self.schur.dim > max_dim:
-            raise DimensionGuardError(
-                f"dense view of dimension {self.schur.dim} exceeds cap {max_dim}"
-            )
-        out = np.zeros((self.schur.dim, self.schur.dim))
-        for (v, t), tri in self.pair_blocks.items():
-            g = self.pair_global_indices(v, t)
-            out[np.ix_(g, g)] = tri.densify()
-        return out
+        _guard(self.schur.dim, max_dim)
+        return self.pair_diag.densify()
 
-    def factor_all(self):
-        """Cholesky factors of every paired diagonal block, keyed (v, t)."""
-        return {key: block_tridiag_factor(tri) for key, tri in self.pair_blocks.items()}
+    def factor(self):
+        """Cholesky factors of every paired diagonal block, as one batched
+        block tri-diagonal factorization over all (pair, stage).
+
+        Block row r holds the 2 x 2 subsystems of rows 2r and 2r + 1 in the
+        pair's two columns, ordered as ``Padding.to_pairs``.
+        """
+        T1, Np, Kp, nb = self.schur.padding.shape
+        # [0] diagonal blocks, [1] blocks coupling row pair r to r - 1
+        blocks = np.zeros((2, Kp // 2, T1, Np // 2, 2, 2, nb, 2, 2, nb))
+        for (_, dj, di), w in self.pair_diag.weights.items():
+            for c in range(max(0, -dj), min(2, 2 - dj)):
+                for a in (0, 1):
+                    s, a2 = divmod(a + di, 2)
+                    if s <= 0:
+                        blocks[-s][..., c, a, :, c + dj, a2, :] = (
+                            w[:, c::2, a::2].transpose(2, 0, 1, 3, 4)
+                        )
+        blocks = blocks.reshape(2, Kp // 2, T1, Np // 2, 4 * nb, 4 * nb)
+        return BlockTridiagCholesky(blocks[0], blocks[1])
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:
@@ -751,7 +358,7 @@ def reference_stage_block(problem: GridLQProblem, t, j, jc):
         raise ValueError("closed form applies to stages 1..T")
     if not 0 <= j - jc <= 2:
         raise ValueError("blocks exist for 0 <= j - jc <= 2")
-    lay = state_offsets(problem)
+    lay = GridLayout(problem)
     td = t - 1
 
     def qinv_col(jq):

@@ -2,7 +2,7 @@
 
 One outer sweep refreshes the right-hand side through the stage couplings;
 each outer sweep runs a fixed number of inner sweeps whose pair-diagonal
-solves decompose into independent (pair, stage) block tri-diagonal systems.
+solves are one batched block tri-diagonal solve over every (pair, stage).
 Run with a convergence check this is a standalone stationary solver; run
 with fixed budgets from a zero start it is a linear, symmetric positive
 definite map and serves as the conjugate gradient preconditioner. The
@@ -18,14 +18,20 @@ from .errors import DimensionGuardError, MaxIterationsExceeded
 from .kkt_assembly import PairSplitting, SchurOperator, build_splitting
 
 MATERIALIZE_GUARD = 2000
+# identity columns per apply in ``materialize``; bounds its work arrays
+MATERIALIZE_COLUMNS = 256
+
+# key of the batched pair factor in ``NestedJacobiPreconditioner.factors``
+PAIRS = "pairs"
 
 
 class NestedJacobiPreconditioner:
     """Fixed-budget nested Jacobi map over a reduced multiplier operator.
 
-    All pair-diagonal blocks are factored once at construction; applies and
-    solves reuse the factors. ``inner_sweeps`` plays the role of the inner
-    budget L, ``outer_sweeps`` the outer budget S.
+    All pair-diagonal blocks are factored once at construction, as one
+    batched factor stored under ``factors[PAIRS]``; applies and solves reuse
+    it. ``inner_sweeps`` plays the role of the inner budget L,
+    ``outer_sweeps`` the outer budget S.
     """
 
     def __init__(self, schur: SchurOperator, inner_sweeps=2, outer_sweeps=2,
@@ -36,47 +42,27 @@ class NestedJacobiPreconditioner:
         self.inner_sweeps = int(inner_sweeps)
         self.outer_sweeps = int(outer_sweeps)
         self.splitting = splitting if splitting is not None else build_splitting(schur)
-        self.factors = self.splitting.factor_all()
-        self._gidx = {
-            key: self.splitting.pair_global_indices(*key) for key in self.factors
-        }
-        self._keys = sorted(self.factors)
+        self.factors = {PAIRS: self.splitting.factor()}
+        l, s = self.inner_sweeps, self.outer_sweeps
+        # flops of one fixed-budget apply (first-sweep zero terms skipped)
+        self.apply_flops = (
+            s * l * self.factors[PAIRS].solve_flops
+            + s * (l - 1) * self.splitting.inner_coupling_flops
+            + (s - 1) * schur.outer_coupling_flops
+        )
 
     @property
     def dim(self):
         return self.schur.dim
 
-    @property
-    def pair_solve_flops(self):
-        return sum(f.solve_flops for f in self.factors.values())
-
-    @property
-    def apply_flops(self):
-        """Flops of one fixed-budget apply (first-sweep zero terms skipped)."""
-        l, s = self.inner_sweeps, self.outer_sweeps
-        return (
-            s * l * self.pair_solve_flops
-            + s * (l - 1) * self.splitting.inner_coupling_flops
-            + (s - 1) * self.schur.outer_coupling_flops
-        )
-
     # -- sweeps ------------------------------------------------------------
 
-    def _pair_solves(self, rhs, pool=None):
-        out = np.empty_like(rhs)
+    def _pair_solves(self, rhs):
+        pad = self.schur.padding
+        out = self.factors[PAIRS].solve(pad.to_pairs(rhs))
+        return pad.from_pairs(out, np.ndim(rhs) == 1)
 
-        def run(key):
-            g = self._gidx[key]
-            out[g] = self.factors[key].solve(rhs[g])
-
-        if pool is None:
-            for key in self._keys:
-                run(key)
-        else:
-            list(pool.map(run, self._keys))
-        return out
-
-    def inner_sweep(self, rhs, sweeps=None, pool=None, start=None):
+    def inner_sweep(self, rhs, sweeps=None, start=None):
         """Run a fixed number of inner sweeps.
 
         Each sweep solves every (pair, stage) block against the rhs plus
@@ -91,18 +77,16 @@ class NestedJacobiPreconditioner:
         if count < 1:
             raise ValueError("need at least one inner sweep")
         if start is None:
-            theta = self._pair_solves(rhs, pool=pool)
+            theta = self._pair_solves(rhs)
             remaining = count - 1
         else:
             theta = start
             remaining = count
         for _ in range(remaining):
-            theta = self._pair_solves(
-                rhs + self.splitting.apply_inner_coupling(theta), pool=pool
-            )
+            theta = self._pair_solves(rhs + self.splitting.apply_inner_coupling(theta))
         return theta
 
-    def apply(self, r, pool=None):
+    def apply(self, r):
         """The preconditioner map: fixed outer x inner budgets from zero.
 
         Exactly linear in r (no convergence checks), and positive definite
@@ -114,14 +98,12 @@ class NestedJacobiPreconditioner:
                 "preconditioner use requires an even inner budget "
                 f"(got {self.inner_sweeps}); odd budgets are standalone-only"
             )
-        delta = self.inner_sweep(r, pool=pool)
+        delta = self.inner_sweep(r)
         for _ in range(self.outer_sweeps - 1):
-            delta = self.inner_sweep(
-                r + self.schur.apply_outer_coupling(delta), pool=pool
-            )
+            delta = self.inner_sweep(r + self.schur.apply_outer_coupling(delta))
         return delta
 
-    def solve(self, rhs, tol=1e-9, max_outer=50000, pool=None):
+    def solve(self, rhs, tol=1e-9, max_outer=50000):
         """Standalone nested Jacobi iteration.
 
         Outer sweeps run until the successive-iterate infinity norm drops
@@ -135,11 +117,11 @@ class NestedJacobiPreconditioner:
         delta = None
         for s in range(max_outer):
             if delta is None:
-                new = self.inner_sweep(rhs, pool=pool)
+                new = self.inner_sweep(rhs)
                 prev = np.zeros_like(new)
             else:
                 stage_rhs = rhs + self.schur.apply_outer_coupling(delta)
-                new = self.inner_sweep(stage_rhs, pool=pool, start=delta)
+                new = self.inner_sweep(stage_rhs, start=delta)
                 prev = delta
             if float(np.max(np.abs(new - prev))) < tol:
                 return new, s + 1
@@ -152,17 +134,15 @@ class NestedJacobiPreconditioner:
 
     def materialize(self, max_dim=MATERIALIZE_GUARD):
         """Dense matrix of the preconditioner map, by applying it to the
-        identity in one stacked pass. Symmetric positive definite for even
-        inner budgets. Diagnostic use only, hence the dimension cap."""
+        identity, MATERIALIZE_COLUMNS stacked columns at a time. Symmetric
+        positive definite for even inner budgets. Diagnostic use only, hence
+        the dimension cap."""
         if self.dim > max_dim:
             raise DimensionGuardError(
                 f"materializing dimension {self.dim} exceeds cap {max_dim}"
             )
-        return self.apply(np.eye(self.dim))
-
-
-def nbjm_solve(precond: NestedJacobiPreconditioner, rhs, tol=1e-9,
-               max_outer=50000, pool=None):
-    """Standalone nested-Jacobi solve using an existing preconditioner's
-    factors and budgets."""
-    return precond.solve(rhs, tol=tol, max_outer=max_outer, pool=pool)
+        out = np.empty((self.dim, self.dim))
+        for lo in range(0, self.dim, MATERIALIZE_COLUMNS):
+            width = min(MATERIALIZE_COLUMNS, self.dim - lo)
+            out[:, lo : lo + width] = self.apply(np.eye(self.dim, width, -lo))
+        return out

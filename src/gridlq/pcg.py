@@ -4,7 +4,7 @@ The preconditioned update recomputes the preconditioned residual after
 every accepted step and uses it (not the raw residual) in the direction
 update, which is what makes the inner product bookkeeping consistent.
 Dot products are single full-vector reductions in a fixed order, so
-single- and multi-threaded runs produce bitwise identical results.
+repeated runs produce bitwise identical results.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ class SolveReport:
 
 
 def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
-              pool=None, callback=None):
+              callback=None):
     """Preconditioned conjugate gradient for the reduced multiplier system.
 
-    preconditioner is any object with an ``apply(r, pool=...)`` method and
-    an ``apply_flops`` attribute, or None for plain conjugate gradient.
+    preconditioner is any object with an ``apply(r)`` method and an
+    ``apply_flops`` attribute, or None for plain conjugate gradient.
     Iterates from x0 (default zero) until the recurred residual infinity
     norm drops below tol. Returns (solution, SolveReport); raises
     BreakdownError on non-positive curvature and MaxIterationsExceeded
@@ -81,11 +81,11 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         r = rhs.copy()
     else:
         x = np.array(x0, dtype=float, copy=True)
-        r = rhs - schur.apply(x, pool=pool)
+        r = rhs - schur.apply(x)
         counts["operator_apply"] += schur.matvec_flops
 
     if preconditioner is not None:
-        d = preconditioner.apply(r, pool=pool)
+        d = preconditioner.apply(r)
         counts["preconditioner_apply"] += precond_flops
     else:
         d = r.copy()
@@ -96,7 +96,7 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     converged = False
     steps = 0
     for _ in range(max_steps):
-        y = schur.apply(d, pool=pool)
+        y = schur.apply(d)
         counts["operator_apply"] += schur.matvec_flops
         curvature = float(y @ d)
         counts["curvature_dot"] += n
@@ -120,7 +120,7 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
             converged = True
             break
         if preconditioner is not None:
-            q = preconditioner.apply(r, pool=pool)
+            q = preconditioner.apply(r)
             counts["preconditioner_apply"] += precond_flops
         else:
             q = r
@@ -149,8 +149,7 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     return x, report
 
 
-def cg_solve(schur, rhs, tol=1e-9, max_steps=None, x0=None, pool=None,
-             callback=None):
+def cg_solve(schur, rhs, tol=1e-9, max_steps=None, x0=None, callback=None):
     """Unpreconditioned conjugate gradient baseline."""
     return pcg_solve(schur, None, rhs, tol=tol, max_steps=max_steps, x0=x0,
-                     pool=pool, callback=callback)
+                     callback=callback)

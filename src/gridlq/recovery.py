@@ -1,8 +1,8 @@
 """Primal recovery, optimality residuals, and dense oracle diagnostics.
 
 Everything in here that is labelled an oracle assembles its operators
-dense, straight from the problem data, without touching the banded
-assembly machinery; the two paths share only the index layout. Dense
+dense, straight from the problem data, without touching the stencil
+assembly machinery; the two paths share only the natural index layout. Dense
 routines are guarded by an overridable dimension cap since their cost and
 memory grow cubically.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionGuardError, NotPositiveDefiniteError
-from .grid_problem import GridLQProblem, GridLayout, state_offsets
+from .grid_problem import GridLQProblem, GridLayout
 from .kkt_assembly import PairSplitting, SchurOperator, StackedSystem
 
 ORACLE_GUARD = 2000
@@ -173,7 +173,7 @@ def _dense_kkt(problem: GridLQProblem, lay: GridLayout):
 def dense_reference_solve(problem: GridLQProblem, max_dim=ORACLE_GUARD) -> TrajectorySolution:
     """Direct dense solve of the optimality system; the oracle every
     iterative path is checked against."""
-    lay = state_offsets(problem)
+    lay = GridLayout(problem)
     if lay.n_total > max_dim:
         raise DimensionGuardError(
             f"dense reference solve of dimension {lay.n_total} exceeds cap {max_dim}"

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from gridlq import (
-    BlockBanded,
+    BlockTridiagCholesky,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    banded_matvec,
-    block_tridiag_factor,
-    block_tridiag_solve,
+    build_schur,
+    build_splitting,
+    build_stacked,
     dense_cholesky,
+    generate_msd_case,
 )
 from gridlq.block_linalg import lower_triangular_inverse, spd_inverse
+from gridlq.stencil import Padding, Stencil, window
 
 
 def random_spd(rng, n):
@@ -20,14 +22,47 @@ def random_spd(rng, n):
     return g @ g.T + n * np.eye(n)
 
 
-def random_block_tridiag(rng, sizes, shift=2.0):
-    m = BlockBanded(sizes, bandwidth=1, symmetric=True)
-    dim = sum(sizes)
-    for k, q in enumerate(sizes):
-        m.set_block(k, k, random_spd(rng, q) + shift * dim * np.eye(q))
-        if k:
-            m.set_block(k, k - 1, rng.standard_normal((q, sizes[k - 1])))
-    return m
+def random_block_tridiag(rng, rows, q, batch=2, shift=2.0):
+    """Diagonal and sub-diagonal blocks, axes (row, batch, q, q)."""
+    dim = rows * q
+    diag = np.stack([
+        np.stack([random_spd(rng, q) + shift * dim * np.eye(q) for _ in range(batch)])
+        for _ in range(rows)
+    ])
+    sub = rng.standard_normal((rows, batch, q, q))
+    sub[0] = 0.0
+    return diag, sub
+
+
+def densify_tridiag(diag, sub):
+    """Dense matrix in the factor's (row, batch, entry) ordering."""
+    rows, batch, q = diag.shape[:3]
+    out = np.zeros((rows * batch * q,) * 2)
+    at = lambda r, b: slice((r * batch + b) * q, (r * batch + b + 1) * q)
+    for r in range(rows):
+        for b in range(batch):
+            out[at(r, b), at(r, b)] = diag[r, b]
+            if r:
+                out[at(r, b), at(r - 1, b)] = sub[r, b]
+                out[at(r - 1, b), at(r, b)] = sub[r, b].T
+    return out
+
+
+def random_stencil(rng, sizes, offsets, stages=2):
+    """Stencil with random blocks at the given offsets, zero where the
+    source falls off the padded grid."""
+    pad = Padding(sizes, stages)
+    block = pad.block
+    weights = {}
+    for o in offsets:
+        w = np.zeros(pad.grid + (block, block))
+        dst, _ = window(o, pad.grid)
+        w[dst] = rng.standard_normal(w[dst].shape)
+        weights[o] = w
+    return Stencil(weights, pad)
+
+
+OFFSETS = [(0, 0, 0), (0, 1, 0), (0, -1, 1), (0, 0, -2), (1, 0, 0), (-1, 2, -1)]
 
 
 class TestDenseCholesky:
@@ -54,6 +89,22 @@ class TestDenseCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             dense_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            m = np.eye(3)
+            m[1, 1] = bad
+            with pytest.raises(NotPositiveDefiniteError):
+                dense_cholesky(m)
+            with pytest.raises(NotPositiveDefiniteError):
+                dense_cholesky(np.stack([np.eye(3), m]))
+
+    def test_batched_matches_single(self):
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_spd(rng, 4) for _ in range(5)])
+        batched = dense_cholesky(stack)
+        for m, lower in zip(stack, batched):
+            assert np.allclose(lower, dense_cholesky(m), rtol=1e-14, atol=1e-14)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatchError):
             dense_cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -72,156 +123,144 @@ class TestDenseCholesky:
 
 
 class TestBlockBanded:
+    """Block-banded operators in their stencil form."""
+
     def test_identity_blocks_matvec(self):
-        m = BlockBanded([2, 2], bandwidth=1, symmetric=True)
-        m.set_block(0, 0, np.eye(2))
-        m.set_block(1, 1, np.eye(2))
+        pad = Padding([[2, 2]], 1)
+        op = Stencil({(0, 0, 0): np.broadcast_to(np.eye(2), pad.grid + (2, 2))}, pad)
         x = np.arange(4.0)
-        assert np.array_equal(banded_matvec(m, x), x)
+        assert np.array_equal(op.apply(x), x)
 
     def test_matvec_matches_densify(self):
         rng = np.random.default_rng(3)
-        sizes = [3, 2, 4, 1, 3]
-        m = BlockBanded(sizes, bandwidth=1)
-        for r in range(5):
-            for c in range(max(0, r - 1), min(5, r + 2)):
-                m.set_block(r, c, rng.standard_normal((sizes[r], sizes[c])))
-        dense = m.densify()
-        x = rng.standard_normal(m.cols)
-        assert np.max(np.abs(m.matvec(x) - dense @ x)) < 1e-12
-        assert np.max(np.abs(m.rmatvec(x) - dense.T @ x)) < 1e-12
+        # odd K and N and mixed block sizes exercise the padding
+        op = random_stencil(rng, [[3, 2, 1], [1, 3, 2], [2, 2, 3]], OFFSETS)
+        dense = op.densify()
+        x = rng.standard_normal(op.padding.dim)
+        assert np.max(np.abs(op.apply(x) - dense @ x)) < 1e-12
+        assert np.max(np.abs(op.transpose().apply(x) - dense.T @ x)) < 1e-12
 
     def test_symmetric_storage_mirrors(self):
-        m = BlockBanded([2, 2], bandwidth=1, symmetric=True)
-        blk = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m.set_block(0, 1, blk)
-        assert (1, 0) in m.blocks and (0, 1) not in m.blocks
-        assert np.array_equal(m.block(0, 1), blk)
-        assert np.array_equal(m.block(1, 0), blk.T)
         rng = np.random.default_rng(4)
-        m.set_block(0, 0, random_spd(rng, 2))
-        m.set_block(1, 1, random_spd(rng, 2))
-        dense = m.densify()
+        lower = random_stencil(rng, [[2, 1], [2, 2], [1, 2]], [(0, 0, -1), (-1, 1, 0)])
+        mirror = lower.transpose()
+        assert set(mirror.weights) == {(0, 0, 1), (1, -1, 0)}
+        assert np.array_equal(mirror.densify(), lower.densify().T)
+        both = Stencil({**lower.weights, **mirror.weights}, lower.padding)
+        dense = both.densify()
         assert np.array_equal(dense, dense.T)
-        x = rng.standard_normal(4)
-        assert np.max(np.abs(m.matvec(x) - dense @ x)) < 1e-12
+        x = rng.standard_normal(both.padding.dim)
+        assert np.max(np.abs(both.apply(x) - dense @ x)) < 1e-12
 
     def test_zero_vector(self):
         rng = np.random.default_rng(5)
-        m = random_block_tridiag(rng, [2, 3, 2])
-        assert np.array_equal(m.matvec(np.zeros(7)), np.zeros(7))
+        op = random_stencil(rng, [[2, 2], [2, 2]], OFFSETS)
+        assert np.array_equal(op.apply(np.zeros(op.padding.dim)), np.zeros(op.padding.dim))
 
     def test_matrix_rhs_matches_columns(self):
         rng = np.random.default_rng(6)
-        m = random_block_tridiag(rng, [2, 2, 2, 2])
-        x = rng.standard_normal((8, 5))
-        out = m.matvec(x)
+        op = random_stencil(rng, [[2, 2, 1], [2, 1, 2]], OFFSETS)
+        x = rng.standard_normal((op.padding.dim, 5))
+        out = op.apply(x)
+        assert out.shape == x.shape
         for k in range(5):
-            # batched and single-column BLAS kernels may round differently
-            assert np.max(np.abs(out[:, k] - m.matvec(x[:, k]))) < 1e-13
+            # batched and single-column kernels may round differently
+            assert np.max(np.abs(out[:, k] - op.apply(x[:, k]))) < 1e-13
 
     def test_dimension_mismatch(self):
-        m = BlockBanded([2, 2], bandwidth=0)
-        m.set_block(0, 0, np.eye(2))
+        rng = np.random.default_rng(7)
+        op = random_stencil(rng, [[2, 2]], OFFSETS)
         with pytest.raises(DimensionMismatchError):
-            m.matvec(np.zeros(5))
+            op.apply(np.zeros(op.padding.dim + 1))
         with pytest.raises(DimensionMismatchError):
-            m.set_block(0, 1, np.eye(2))
+            op.apply(np.zeros((op.padding.dim, 2, 2)))
 
     def test_pair_rows_preserves_dense(self):
-        rng = np.random.default_rng(7)
-        for nb in (1, 2, 3, 4, 5):
-            sizes = list(rng.integers(1, 4, size=nb))
-            m = BlockBanded(sizes, bandwidth=2, symmetric=True)
-            for r in range(nb):
-                for c in range(max(0, r - 2), r + 1):
-                    blk = rng.standard_normal((sizes[r], sizes[c]))
-                    if r == c:
-                        blk = blk + blk.T + 10 * np.eye(sizes[r])
-                    m.set_block(r, c, blk)
-            paired = m.pair_rows()
-            assert paired.bandwidth <= 1
-            assert np.array_equal(paired.densify(), m.densify())
+        # the factor pairs rows and columns into 4-block rows; solving the
+        # pair diagonal's own products must give back the operand
+        for dims in ((3, 3, 2), (4, 2, 1), (1, 1, 1), (5, 4, 2)):
+            op = build_schur(build_stacked(generate_msd_case(*dims, seed=8)))
+            split = build_splitting(op)
+            phi = split.densify_pair_diag(5000)
+            factor = split.factor()
+            x = np.random.default_rng(9).standard_normal(op.dim)
+            back = op.padding.from_pairs(factor.solve(op.padding.to_pairs(phi @ x)), True)
+            assert np.max(np.abs(back - x)) < 1e-10
 
     def test_matvec_flops_counts_blocks(self):
-        m = BlockBanded([2, 3], bandwidth=1, symmetric=True)
-        m.set_block(0, 0, np.eye(2))
-        m.set_block(1, 1, np.eye(3))
-        m.set_block(1, 0, np.ones((3, 2)))
-        # diagonal blocks once, off-diagonal counted for both mirror halves
-        assert m.matvec_flops == 4 + 9 + 2 * 6
+        pad = Padding([[2, 2], [2, 2]], 1)
+        weights = {o: np.zeros(pad.grid + (2, 2)) for o in [(0, 0, 0), (0, 0, -1), (0, 0, 1)]}
+        weights[(0, 0, 0)][:] = np.eye(2)
+        weights[(0, 0, -1)][0, 0, 1] = 1.0
+        op = Stencil(weights, pad)
+        # four diagonal blocks and one block one row down (the odd column
+        # of that offset is all zero and skipped), one multiply per block
+        # entry; the all-zero offset is dropped
+        assert set(op.weights) == {(0, 0, 0), (0, 0, -1)}
+        assert op.flops == 4 * 4 + 1 * 4
+        x = np.arange(8.0)
+        assert np.array_equal(op.apply(x), op.densify() @ x)
 
 
 class TestBlockTridiagCholesky:
     def test_identity_blocks(self):
-        m = BlockBanded([2, 2], bandwidth=1, symmetric=True)
-        m.set_block(0, 0, np.eye(2))
-        m.set_block(1, 1, np.eye(2))
-        factor = block_tridiag_factor(m)
+        diag = np.broadcast_to(np.eye(2), (2, 1, 2, 2)).copy()
+        factor = BlockTridiagCholesky(diag, np.zeros_like(diag))
         b = np.arange(4.0)
-        assert np.allclose(block_tridiag_solve(factor, b), b, atol=1e-14)
-        assert np.allclose(factor.densify_factor(), np.eye(4), atol=1e-14)
+        assert np.allclose(factor.solve(b), b, atol=1e-14)
 
     def test_ten_block_solve_matches_dense(self):
-        m = BlockBanded([3] * 10, bandwidth=1, symmetric=True)
-        for k in range(10):
-            m.set_block(k, k, 2.0 * np.eye(3))
-            if k:
-                m.set_block(k, k - 1, -0.5 * np.eye(3))
-        factor = block_tridiag_factor(m)
+        diag = np.broadcast_to(2.0 * np.eye(3), (10, 1, 3, 3)).copy()
+        sub = np.broadcast_to(-0.5 * np.eye(3), (10, 1, 3, 3)).copy()
+        factor = BlockTridiagCholesky(diag, sub)
         rng = np.random.default_rng(8)
         b = rng.standard_normal(30)
         x = factor.solve(b)
-        assert np.max(np.abs(x - np.linalg.solve(m.densify(), b))) < 1e-10
+        assert np.max(np.abs(x - np.linalg.solve(densify_tridiag(diag, sub), b))) < 1e-10
 
     def test_two_block_vs_dense(self):
         rng = np.random.default_rng(9)
-        m = random_block_tridiag(rng, [3, 3])
-        b = rng.standard_normal(6)
-        x = block_tridiag_solve(block_tridiag_factor(m), b)
-        assert np.max(np.abs(x - np.linalg.solve(m.densify(), b))) < 1e-11
+        diag, sub = random_block_tridiag(rng, 2, 3)
+        b = rng.standard_normal(12)
+        x = BlockTridiagCholesky(diag, sub).solve(b)
+        assert np.max(np.abs(x - np.linalg.solve(densify_tridiag(diag, sub), b))) < 1e-11
 
     def test_zero_rhs(self):
         rng = np.random.default_rng(10)
-        factor = block_tridiag_factor(random_block_tridiag(rng, [2, 2, 2]))
-        assert np.array_equal(factor.solve(np.zeros(6)), np.zeros(6))
+        factor = BlockTridiagCholesky(*random_block_tridiag(rng, 3, 2))
+        assert np.array_equal(factor.solve(np.zeros(12)), np.zeros(12))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
-        factor = block_tridiag_factor(random_block_tridiag(rng, [2, 2]))
+        factor = BlockTridiagCholesky(*random_block_tridiag(rng, 2, 2))
         with pytest.raises(DimensionMismatchError):
             factor.solve(np.zeros(5))
 
     def test_not_spd_propagates(self):
-        m = BlockBanded([2, 2], bandwidth=1, symmetric=True)
-        m.set_block(0, 0, np.eye(2))
-        m.set_block(1, 1, -np.eye(2))
+        diag = np.stack([np.eye(2), -np.eye(2)])[:, None]
         with pytest.raises(NotPositiveDefiniteError):
-            block_tridiag_factor(m)
+            BlockTridiagCholesky(diag, np.zeros_like(diag))
 
     def test_factor_reconstructs_source(self):
         rng = np.random.default_rng(12)
-        for sizes in ([4, 4, 4], [2, 5, 3, 1], [8] * 12):
-            m = random_block_tridiag(rng, sizes)
-            factor = block_tridiag_factor(m)
-            lower = factor.densify_factor()
-            dense = m.densify()
-            err = np.linalg.norm(lower @ lower.T - dense) / np.linalg.norm(dense)
-            assert err < 1e-10
+        for rows, q, batch in ((3, 4, 1), (4, 2, 3), (12, 8, 2)):
+            diag, sub = random_block_tridiag(rng, rows, q, batch)
+            dense = densify_tridiag(diag, sub)
+            inverse = BlockTridiagCholesky(diag, sub).solve(dense)
+            assert np.max(np.abs(inverse - np.eye(len(dense)))) < 1e-10
 
     def test_solve_inverts_matvec(self):
         rng = np.random.default_rng(13)
-        for sizes in ([3] * 5, [6] * 20, [2, 4, 2, 4, 2]):
-            m = random_block_tridiag(rng, sizes)
-            factor = block_tridiag_factor(m)
-            x = rng.standard_normal(sum(sizes))
-            back = factor.solve(m.matvec(x))
+        for rows, q, batch in ((5, 3, 1), (20, 6, 2), (5, 4, 4)):
+            diag, sub = random_block_tridiag(rng, rows, q, batch)
+            x = rng.standard_normal(rows * q * batch)
+            back = BlockTridiagCholesky(diag, sub).solve(densify_tridiag(diag, sub) @ x)
             assert np.max(np.abs(back - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
 
     def test_factor_cost_linear_in_rows(self):
         rng = np.random.default_rng(14)
-        f1 = block_tridiag_factor(random_block_tridiag(rng, [4] * 10))
-        f2 = block_tridiag_factor(random_block_tridiag(rng, [4] * 20))
+        f1 = BlockTridiagCholesky(*random_block_tridiag(rng, 10, 4))
+        f2 = BlockTridiagCholesky(*random_block_tridiag(rng, 20, 4))
         ratio = f2.factor_flops / f1.factor_flops
         assert 0.8 * 2 <= ratio <= 1.3 * 2
         ratio = f2.solve_flops / f1.solve_flops

@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 
-from gridlq import generate_msd_case, save_problem
+from gridlq import generate_msd_case, kkt_assembly, save_problem
+from gridlq.grid_problem import problem_to_dict
 from gridlq.cli import CSV_COLUMNS, main
 
 
@@ -84,6 +85,52 @@ class TestRun:
         )
         assert code == 2
         assert "positive definite" in err
+
+    def test_non_finite_problem_file_exit_code(self, capsys, tmp_path):
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.sub(1, 0).A[1] = p.sub(1, 0).A[1].copy()
+        p.sub(1, 0).A[1][0, 0] = np.nan
+        path = tmp_path / "nan.json"
+        save_problem(p, path)
+        code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
+        assert code == 2
+        assert "(1, 0)" in err and "A[1]" in err and "non-finite" in err
+
+    def test_malformed_problem_file_exit_code(self, capsys, tmp_path):
+        def missing_boundary(doc):
+            del doc["boundary"]
+
+        def ragged_row(doc):
+            doc["subsystems"][1].pop()
+
+        def wrong_type(doc):
+            doc["subsystems"][0][0]["n"] = "four"
+
+        def ragged_matrix(doc):
+            doc["subsystems"][0][1]["A"][0][2] = [1.0]
+
+        for corrupt in (missing_boundary, ragged_row, wrong_type, ragged_matrix):
+            doc = problem_to_dict(generate_msd_case(2, 2, 2, seed=0))
+            corrupt(doc)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
+            assert code == 2, corrupt.__name__
+            assert err.startswith("invalid problem:"), corrupt.__name__
+
+    def test_validates_once_per_solve(self, capsys, monkeypatch):
+        calls = []
+        validate = kkt_assembly.validate
+        monkeypatch.setattr(kkt_assembly, "validate", lambda p: calls.append(p) or validate(p))
+        code, _, _ = run_cli(capsys, "run", "--case", "case1", "--sweep", "2,3")
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_threads_must_be_positive(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "2",
+                               "--threads", "0")
+        assert code == 2
+        assert "--threads" in err
 
     def test_problem_file_round_trip(self, capsys, tmp_path):
         p = generate_msd_case(2, 2, 2, seed=1)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from gridlq import (
+    GridLayout,
+    GridLQError,
+    InvalidProblemError,
     generate_irrigation_case,
     generate_msd_case,
     load_problem,
     save_problem,
-    state_offsets,
     validate,
 )
-from gridlq.grid_problem import DIRECTIONS, EULER_STEP
+from gridlq.grid_problem import DIRECTIONS, EULER_STEP, problem_from_dict, problem_to_dict
 
 from conftest import make_boundary_problem, make_uncoupled_problem
 
@@ -87,6 +89,22 @@ class TestValidate:
 
     def test_boundary_problem_valid(self):
         assert validate(make_boundary_problem()) == []
+
+    def test_flags_non_finite_entries(self):
+        p = make_boundary_problem()
+        sub = p.sub(0, 1)
+        sub.A = [a.copy() for a in sub.A]
+        sub.A[1][0, 1] = np.nan
+        sub.Q = [q.copy() for q in sub.Q]
+        sub.Q[0][1, 1] = np.inf
+        sub.south = [c.copy() for c in sub.south]
+        sub.south[0][0, 0] = -np.inf
+        p.boundary.init[1][0] = np.array([0.0, np.nan])
+        p.boundary.west[1][1] = np.array([np.nan, 1.0])
+        msgs = validate(p)
+        for want in ("(0, 1): A[1]", "(0, 1): Q[0]", "(0, 1): south coupling[0]",
+                     "initial state (1, 0)", "boundary.west[1][1]"):
+            assert any(want in m and "non-finite" in m for m in msgs), want
 
 
 class TestMsdGenerator:
@@ -192,14 +210,14 @@ class TestIrrigationGenerator:
 class TestStateOffsets:
     def test_single_subsystem_time_major(self):
         p = make_uncoupled_problem(K=1, N=1, T=3, n=2, m=1)
-        lay = state_offsets(p)
+        lay = GridLayout(p)
         for t in range(4):
             assert lay.x_offset(0, 0, t) == t * 2
         assert lay.n_total == 8 and lay.m_total == 3
 
     def test_grid_offsets(self):
         p = generate_msd_case(2, 2, 2, seed=0)
-        lay = state_offsets(p)
+        lay = GridLayout(p)
         assert lay.nbar == [8, 8]
         assert lay.nhat == 16
         assert lay.x_offset(1, 0, 0) == 4
@@ -208,15 +226,15 @@ class TestStateOffsets:
 
     def test_inputs_have_no_terminal_stage(self):
         p = generate_msd_case(2, 2, 3, seed=0)
-        lay = state_offsets(p)
+        lay = GridLayout(p)
         assert lay.m_total == lay.mhat * p.T
         last = lay.u_offset(1, 1, p.T - 1) + p.sub(1, 1).m
         assert last == lay.m_total
 
     def test_pairs(self):
-        assert state_offsets(generate_irrigation_case(1, 1, 1)).pairs == [(0,)]
-        assert state_offsets(generate_irrigation_case(1, 4, 1)).pairs == [(0, 1), (2, 3)]
-        assert state_offsets(generate_irrigation_case(1, 3, 1)).pairs == [(0, 1), (2,)]
+        assert GridLayout(generate_irrigation_case(1, 1, 1)).pairs == [(0,)]
+        assert GridLayout(generate_irrigation_case(1, 4, 1)).pairs == [(0, 1), (2, 3)]
+        assert GridLayout(generate_irrigation_case(1, 3, 1)).pairs == [(0, 1), (2,)]
 
 
 class TestProblemFiles:
@@ -237,3 +255,16 @@ class TestProblemFiles:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_problem(path)
+
+    @pytest.mark.parametrize("corrupt", ["missing_key", "ragged_table", "wrong_type"])
+    def test_malformed_documents_raise_invalid_problem(self, corrupt):
+        doc = problem_to_dict(generate_msd_case(2, 3, 2, seed=0))
+        if corrupt == "missing_key":
+            del doc["subsystems"][1][2]["Q"]
+        elif corrupt == "ragged_table":
+            doc["boundary"]["init"][0].pop()
+        else:
+            doc["T"] = [2]
+        with pytest.raises(InvalidProblemError) as info:
+            problem_from_dict(doc)
+        assert isinstance(info.value, GridLQError)

@@ -1,16 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gridlq import (
     DimensionGuardError,
-    apply_delta,
+    GridLayout,
+    NestedJacobiPreconditioner,
     build_schur,
     build_splitting,
     build_stacked,
     generate_irrigation_case,
     generate_msd_case,
     reference_stage_block,
-    state_offsets,
 )
 from gridlq.recovery import _dense_kkt
 
@@ -22,7 +25,7 @@ from conftest import (
 
 
 def dense_delta_oracle(problem):
-    lay = state_offsets(problem)
+    lay = GridLayout(problem)
     a, b, q, r, _ = _dense_kkt(problem, lay)
     return a @ np.linalg.solve(q, a.T) + b @ np.linalg.solve(r, b.T)
 
@@ -37,8 +40,13 @@ class TestBuildStacked:
     def test_single_subsystem_pieces(self):
         p = make_uncoupled_problem(K=1, N=1, T=2, n=2, m=1, a_scale=0.3)
         s = build_stacked(p)
-        assert set(s.a_pieces[0]) == {(0, 0)}
-        assert np.array_equal(s.a_pieces[0][(0, 0)].densify(), 0.3 * np.eye(2))
+        # the identity pinning plus the dynamics; no coupling offsets
+        assert set(s.constraint.weights) == {(0, 0, 0), (-1, 0, 0)}
+        lay = s.layout
+        dense = s.densify_constraint()
+        assert np.array_equal(
+            dense[lay.stage_x_slice(1), lay.stage_x_slice(0)], 0.3 * np.eye(2)
+        )
 
     def test_zero_data_gives_zero_offset(self):
         p = make_uncoupled_problem(K=2, N=2, T=2, init_scale=0.0)
@@ -64,9 +72,7 @@ class TestBuildStacked:
         p = generate_msd_case(2, 2, 2, seed=0)
         s = build_stacked(p)
         lay = s.layout
-        dense = np.zeros((lay.nhat, lay.nhat))
-        for (j, jc), piece in s.a_pieces[0].items():
-            dense[lay.col_x_slice(j), lay.col_x_slice(jc)] = piece.densify()
+        dense = s.densify_constraint()[lay.stage_x_slice(1), lay.stage_x_slice(0)]
         for i in range(2):
             for j in range(2):
                 for ic in range(2):
@@ -135,20 +141,34 @@ class TestBuildSchur:
         with pytest.raises(DimensionGuardError):
             msd_333_ops[2].densify(max_dim=10)
 
+    def test_freed_without_cycle_collector(self):
+        # a reference cycle would keep every operator's block arrays alive
+        # until the cyclic collector runs, growing memory across solves
+        op = build_schur(build_stacked(generate_msd_case(2, 3, 2, seed=0)))
+        precond = NestedJacobiPreconditioner(op, 2, 2)
+        assert op.stage_diag[1][(1, 0)].densify().any()
+        refs = [weakref.ref(op), weakref.ref(precond)]
+        gc.disable()
+        try:
+            del op, precond
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
 
 class TestApplyDelta:
     def test_identity_case(self):
         p = make_uncoupled_problem(K=1, N=1, T=2, n=2, m=1, a_scale=0.0)
         op = build_schur(build_stacked(p))
         x = np.arange(float(op.dim))
-        assert np.allclose(apply_delta(op, x), x, atol=1e-14)
+        assert np.allclose(op.apply(x), x, atol=1e-14)
 
     def test_matches_dense_product(self, msd_333_ops):
         _, _, op = msd_333_ops
         dense = op.densify(5000)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(op.dim)
-        assert np.max(np.abs(apply_delta(op, x) - dense @ x)) < 1e-12 * np.max(
+        assert np.max(np.abs(op.apply(x) - dense @ x)) < 1e-12 * np.max(
             np.abs(dense @ x)
         )
 
@@ -157,7 +177,7 @@ class TestApplyDelta:
         op = build_schur(build_stacked(p))
         dense = op.densify(5000)
         cols = np.column_stack(
-            [apply_delta(op, np.eye(op.dim)[:, k]) for k in range(op.dim)]
+            [op.apply(np.eye(op.dim)[:, k]) for k in range(op.dim)]
         )
         assert np.max(np.abs(cols - dense)) < 1e-13
 
@@ -182,7 +202,7 @@ class TestSplitting:
         lay = op.layout
         for t in range(lay.T + 1):
             for v in range(len(op.pairs)):
-                g = split.pair_global_indices(v, t)
+                g = np.arange(op.dim)[lay.stage_x_slice(t)][lay.pair_x_slice(v)]
                 assert np.array_equal(phi[np.ix_(g, g)], psi[np.ix_(g, g)])
 
     def test_inner_coupling_matches_dense(self, msd_333_ops):
@@ -223,16 +243,23 @@ class TestSplitting:
         split = build_splitting(op)
         lay = op.layout
         assert op.pairs == [(0, 1), (2,)]
-        tri = split.pair_blocks[(1, 1)]
-        assert tri.rows == lay.nbar[2]
+        # the singleton pair's diagonal block is its stage-diagonal column
+        # block, with no coupling to the first pair
+        phi = split.densify_pair_diag(5000)[lay.stage_x_slice(1), lay.stage_x_slice(1)]
+        psi = op.densify_block_diag(5000)[lay.stage_x_slice(1), lay.stage_x_slice(1)]
+        last, first = lay.col_x_slice(2), slice(0, lay.col_x_offset[2])
+        assert np.array_equal(phi[last, last], psi[last, last])
+        assert not phi[last, first].any() and psi[last, first].any()
 
     def test_factors_exist_for_all_pairs(self, msd_333_ops):
         _, _, op = msd_333_ops
         split = build_splitting(op)
-        factors = split.factor_all()
-        assert set(factors) == {
-            (v, t) for v in range(len(op.pairs)) for t in range(op.layout.T + 1)
-        }
+        factor = split.factor()
+        # one batch entry per (row pair, stage, pair); K = 3 pads to 4 rows
+        lay = op.layout
+        assert factor.shape[:3] == (2, lay.T + 1, len(op.pairs))
+        lam = factor.solve(op.padding.to_pairs(np.ones(op.dim)))
+        assert np.all(np.isfinite(lam))
 
 
 class TestSignSimilarity:

@@ -25,7 +25,7 @@ class NegatedOperator:
         self.dim = dim
         self.matvec_flops = dim
 
-    def apply(self, x, pool=None):
+    def apply(self, x):
         return -x
 
 
