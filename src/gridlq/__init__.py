@@ -8,6 +8,7 @@ from .errors import (
     BreakdownError,
     DimensionGuardError,
     DimensionMismatchError,
+    DivergenceError,
     GridLQError,
     InvalidProblemError,
     MaxIterationsExceeded,
@@ -43,7 +44,6 @@ from .recovery import (
     kkt_residual,
     recover_solution,
     simulate_states,
-    spectral_radius,
     splitting_spectral_radii,
 )
 
@@ -54,6 +54,7 @@ __all__ = [
     "ConditioningReport",
     "DimensionGuardError",
     "DimensionMismatchError",
+    "DivergenceError",
     "GridLQError",
     "GridLQProblem",
     "GridLayout",
@@ -83,7 +84,6 @@ __all__ = [
     "reference_stage_block",
     "save_problem",
     "simulate_states",
-    "spectral_radius",
     "splitting_spectral_radii",
     "validate",
 ]

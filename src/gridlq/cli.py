@@ -1,27 +1,36 @@
 """Benchmark command line: generate or load a grid problem, solve it with a
 chosen method, and emit machine-readable reports.
 
-Exit codes: 0 success, 2 invalid problem or spec, 3 non-convergence,
-4 dimension guard.
+Exit codes: 0 success; 2 invalid problem or solver spec, including a
+problem whose reduced operator is not numerically positive definite;
+3 non-convergence or divergence; 4 dimension guard. Each failure prints
+one line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from .errors import DimensionGuardError, InvalidProblemError, MaxIterationsExceeded
+from .errors import (
+    BreakdownError,
+    DimensionGuardError,
+    InvalidProblemError,
+    MaxIterationsExceeded,
+    NotPositiveDefiniteError,
+)
 from .grid_problem import (
     generate_irrigation_case,
     generate_msd_case,
     load_problem,
     validate,  # noqa: F401  kept importable here: perfbench/spans.py traces it
 )
-from .kkt_assembly import build_schur, build_splitting, build_stacked
+from .kkt_assembly import DENSE_GUARD, build_schur, build_splitting, build_stacked
 from .nested_jacobi import NestedJacobiPreconditioner
 from .pcg import cg_solve, pcg_solve
 from .recovery import (
@@ -121,17 +130,17 @@ def _solve_record(problem, label, args):
     splitting = None
     precond = None
     factor_s = 0.0
-    if args.solver in ("pcgm", "nbjm") or lay.n_total <= args.max_dense_dim:
-        t0 = time.perf_counter()
-        splitting = build_splitting(schur)
-        precond = NestedJacobiPreconditioner(
-            schur, inner_sweeps=args.L, outer_sweeps=args.S, splitting=splitting
-        )
-        factor_s = time.perf_counter() - t0
-
     sol = None
-    t0 = time.perf_counter()
     try:
+        if args.solver in ("pcgm", "nbjm") or lay.n_total <= args.max_dense_dim:
+            t0 = time.perf_counter()
+            splitting = build_splitting(schur)
+            precond = NestedJacobiPreconditioner(
+                schur, inner_sweeps=args.L, outer_sweeps=args.S, splitting=splitting
+            )
+            factor_s = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         if args.solver == "pcgm":
             lam, report = pcg_solve(
                 schur, precond, stacked.offset, tol=args.tol,
@@ -155,10 +164,10 @@ def _solve_record(problem, label, args):
                 stacked.offset, tol=args.tol, max_outer=args.max_outer,
             )
             rec["steps"] = outers
-            rec["converged"] = True
             rec["final_residual"] = float(
                 np.max(np.abs(schur.apply(lam) - stacked.offset))
             )
+            rec["converged"] = rec["final_residual"] < args.tol
             sol = recover_solution(stacked, lam)
         elif args.solver == "dense":
             sol = dense_reference_solve(problem, max_dim=args.max_dense_dim)
@@ -183,6 +192,9 @@ def _solve_record(problem, label, args):
     except DimensionGuardError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
         return rec, EXIT_DIMENSION_GUARD
+    except (NotPositiveDefiniteError, BreakdownError) as exc:
+        print(f"invalid problem: {exc}", file=sys.stderr)
+        return rec, EXIT_INVALID
     solve_s = time.perf_counter() - t0
 
     if sol is not None:
@@ -193,9 +205,11 @@ def _solve_record(problem, label, args):
         rec["kkt_dynamics"] = rdyn
 
     if lay.n_total <= args.max_dense_dim and precond is not None:
-        cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
-        rec["kappa_delta"] = cond.kappa_delta
-        rec["kappa_preconditioned"] = cond.kappa_preconditioned
+        # an odd inner budget gives a map that is not SPD: no kappa columns
+        if args.L % 2 == 0:
+            cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
+            rec["kappa_delta"] = cond.kappa_delta
+            rec["kappa_preconditioned"] = cond.kappa_preconditioned
         rho_inner, rho_outer = splitting_spectral_radii(
             schur, splitting, max_dim=args.max_dense_dim
         )
@@ -227,7 +241,7 @@ def _add_common(parser):
                         help="accepted for compatibility (at least 1); the solver "
                              "runs on one thread and neither results nor speed "
                              "depend on it")
-    parser.add_argument("--max-dense-dim", type=int, default=2000,
+    parser.add_argument("--max-dense-dim", type=int, default=DENSE_GUARD,
                         help="cap for dense solves and conditioning diagnostics")
     parser.add_argument("--omit-timings", action="store_true",
                         help="blank the timing fields for reproducible reports")
@@ -343,10 +357,26 @@ def _compare(args):
     return EXIT_OK
 
 
+def _spec_errors(args):
+    """Violations of the solver spec, checked before any work."""
+    errors = []
+    for name in ("L", "S", "max_steps", "max_outer", "threads"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            errors.append(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        errors.append(f"--tol must be finite and positive, got {args.tol!r}")
+    solvers = (args.solver,) if args.command == "run" else (args.solver_a, args.solver_b)
+    if "pcgm" in solvers and args.L % 2:
+        errors.append(f"--L must be even for pcgm, got {args.L}")
+    return errors
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+    errors = _spec_errors(args)
+    if errors:
+        print("error: " + "; ".join(errors), file=sys.stderr)
         return EXIT_INVALID
     if args.command == "run":
         return _run(args)

@@ -50,3 +50,8 @@ class MaxIterationsExceeded(GridLQError):
         self.iterate = iterate
         self.iterations = iterations
         self.report = report
+
+
+class DivergenceError(MaxIterationsExceeded):
+    """An iterative solver's residual became non-finite or grew far beyond
+    its initial value; carries the last iterate like its base class."""

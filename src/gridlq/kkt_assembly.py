@@ -28,13 +28,19 @@ from .errors import DimensionGuardError, InvalidProblemError
 from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, validate
 from .stencil import Padding, Stencil, scatter_blocks, shifted
 
-DENSIFY_GUARD = 2000
+# cap on the dimension of every dense view, oracle and diagnostic: their
+# memory grows quadratically and their cost cubically
+DENSE_GUARD = 2000
 CENTRE = (0, 0, 0)
 
 
-def _guard(dim, max_dim):
+def guard(dim, max_dim):
+    """Raise DimensionGuardError when a dense computation of dimension dim
+    exceeds the cap max_dim."""
     if dim > max_dim:
-        raise DimensionGuardError(f"dense view of dimension {dim} exceeds cap {max_dim}")
+        raise DimensionGuardError(
+            f"dense computation of dimension {dim} exceeds cap {max_dim}"
+        )
 
 
 class StackedSystem:
@@ -92,12 +98,12 @@ class StackedSystem:
 
     # -- dense views (tests and oracles only) --------------------------------
 
-    def densify_constraint(self, max_dim=DENSIFY_GUARD):
-        _guard(self.layout.n_total, max_dim)
+    def densify_constraint(self, max_dim=DENSE_GUARD):
+        guard(self.layout.n_total, max_dim)
         return self.constraint.densify()
 
-    def densify_input_map(self, max_dim=DENSIFY_GUARD):
-        _guard(self.layout.n_total, max_dim)
+    def densify_input_map(self, max_dim=DENSE_GUARD):
+        guard(self.layout.n_total, max_dim)
         out = np.zeros((self.layout.n_total, self.layout.m_total))
         rows = self.xpad.natural_positions()[1:]
         scatter_blocks(out, rows, self.upad.natural_positions(), self.b)
@@ -213,12 +219,12 @@ class SchurOperator:
         """The outer splitting's C = D - operator: negated stage couplings."""
         return self.outer.apply(x)
 
-    def densify(self, max_dim=DENSIFY_GUARD):
-        _guard(self.dim, max_dim)
+    def densify(self, max_dim=DENSE_GUARD):
+        guard(self.dim, max_dim)
         return self.stencil.densify()
 
-    def densify_block_diag(self, max_dim=DENSIFY_GUARD):
-        _guard(self.dim, max_dim)
+    def densify_block_diag(self, max_dim=DENSE_GUARD):
+        guard(self.dim, max_dim)
         return self.diag.densify()
 
 
@@ -277,9 +283,9 @@ class PairSplitting:
         """Negated inter-pair couplings of every stage diagonal."""
         return self.inner.apply(x)
 
-    def densify_pair_diag(self, max_dim=DENSIFY_GUARD):
+    def densify_pair_diag(self, max_dim=DENSE_GUARD):
         """Dense block diagonal of all paired blocks, in global ordering."""
-        _guard(self.schur.dim, max_dim)
+        guard(self.schur.dim, max_dim)
         return self.pair_diag.densify()
 
     def factor(self):

@@ -3,21 +3,20 @@
 One outer sweep refreshes the right-hand side through the stage couplings;
 each outer sweep runs a fixed number of inner sweeps whose pair-diagonal
 solves are one batched block tri-diagonal solve over every (pair, stage).
-Run with a convergence check this is a standalone stationary solver; run
-with fixed budgets from a zero start it is a linear, symmetric positive
-definite map and serves as the conjugate gradient preconditioner. The
-positive definiteness of the induced map needs an even inner budget, which
-``apply`` enforces.
+Run with fixed budgets from a zero start the sweeps are a linear, symmetric
+positive definite map and serve as the conjugate gradient preconditioner;
+the positive definiteness needs an even inner budget, which ``apply``
+enforces. The standalone solver is Richardson iteration on the reduced
+operator with the inner sweep as its approximate inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionGuardError, MaxIterationsExceeded
-from .kkt_assembly import PairSplitting, SchurOperator, build_splitting
+from .errors import DivergenceError, MaxIterationsExceeded
+from .kkt_assembly import DENSE_GUARD, PairSplitting, SchurOperator, build_splitting, guard
 
-MATERIALIZE_GUARD = 2000
 # identity columns per apply in ``materialize``; bounds its work arrays
 MATERIALIZE_COLUMNS = 256
 
@@ -62,27 +61,19 @@ class NestedJacobiPreconditioner:
         out = self.factors[PAIRS].solve(pad.to_pairs(rhs))
         return pad.from_pairs(out, np.ndim(rhs) == 1)
 
-    def inner_sweep(self, rhs, sweeps=None, start=None):
-        """Run a fixed number of inner sweeps.
+    def inner_sweep(self, rhs, sweeps=None):
+        """Run a fixed number of inner sweeps from a zero start.
 
         Each sweep solves every (pair, stage) block against the rhs plus
-        the inter-pair couplings of the previous sweep's iterate. The
-        default zero start makes the map linear in rhs (its coupling term
-        vanishes exactly and is skipped); the standalone solver instead
-        warm-starts from the current outer iterate, which is what makes
-        its fixed point solve the original system despite the truncated
-        inner budget.
+        the inter-pair couplings of the previous sweep's iterate; the first
+        sweep's coupling term vanishes and is skipped. The result is linear
+        in rhs.
         """
         count = self.inner_sweeps if sweeps is None else int(sweeps)
         if count < 1:
             raise ValueError("need at least one inner sweep")
-        if start is None:
-            theta = self._pair_solves(rhs)
-            remaining = count - 1
-        else:
-            theta = start
-            remaining = count
-        for _ in range(remaining):
+        theta = self._pair_solves(rhs)
+        for _ in range(count - 1):
             theta = self._pair_solves(rhs + self.splitting.apply_inner_coupling(theta))
         return theta
 
@@ -106,41 +97,45 @@ class NestedJacobiPreconditioner:
     def solve(self, rhs, tol=1e-9, max_outer=50000):
         """Standalone nested Jacobi iteration.
 
-        Outer sweeps run until the successive-iterate infinity norm drops
-        below tol; the inner budget stays fixed, with inner sweeps
-        warm-started from the current outer iterate so the iteration is
-        consistent (its fixed point solves the system exactly). Any inner
-        budget >= 1 is allowed here. Returns (solution, outer sweep count)
-        and raises MaxIterationsExceeded (carrying the last iterate) when
-        the budget runs out.
+        Richardson iteration from zero with the inner sweep P as the
+        approximate inverse: every outer sweep adds P(rhs - operator lam).
+        This equals outer sweeps whose inner sweeps warm-start from the
+        current iterate, and its fixed point solves the system exactly for
+        any inner budget >= 1. Stops when the true residual infinity norm
+        drops below tol and returns (solution, outer sweep count). Raises
+        DivergenceError when the residual turns non-finite or exceeds 1e3
+        times its initial value, and MaxIterationsExceeded when the budget
+        runs out; both carry the last iterate.
         """
-        delta = None
+        rhs = np.asarray(rhs, dtype=float)
+        lam = np.zeros_like(rhs)
+        res = rhs
+        limit = 1e3 * float(np.max(np.abs(rhs)))
         for s in range(max_outer):
-            if delta is None:
-                new = self.inner_sweep(rhs)
-                prev = np.zeros_like(new)
-            else:
-                stage_rhs = rhs + self.schur.apply_outer_coupling(delta)
-                new = self.inner_sweep(stage_rhs, start=delta)
-                prev = delta
-            if float(np.max(np.abs(new - prev))) < tol:
-                return new, s + 1
-            delta = new
+            lam += self.inner_sweep(res)
+            res = rhs - self.schur.apply(lam)
+            norm = float(np.max(np.abs(res)))
+            if norm < tol:
+                return lam, s + 1
+            if not norm <= limit:
+                raise DivergenceError(
+                    f"nested Jacobi diverged: residual {norm:.3e} after {s + 1} "
+                    "outer sweeps exceeds 1e3 times its initial value",
+                    iterate=lam,
+                    iterations=s + 1,
+                )
         raise MaxIterationsExceeded(
             f"nested Jacobi did not converge within {max_outer} outer sweeps",
-            iterate=delta,
+            iterate=lam,
             iterations=max_outer,
         )
 
-    def materialize(self, max_dim=MATERIALIZE_GUARD):
+    def materialize(self, max_dim=DENSE_GUARD):
         """Dense matrix of the preconditioner map, by applying it to the
         identity, MATERIALIZE_COLUMNS stacked columns at a time. Symmetric
         positive definite for even inner budgets. Diagnostic use only, hence
         the dimension cap."""
-        if self.dim > max_dim:
-            raise DimensionGuardError(
-                f"materializing dimension {self.dim} exceeds cap {max_dim}"
-            )
+        guard(self.dim, max_dim)
         out = np.empty((self.dim, self.dim))
         for lo in range(0, self.dim, MATERIALIZE_COLUMNS):
             width = min(MATERIALIZE_COLUMNS, self.dim - lo)

@@ -55,7 +55,7 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     ``apply_flops`` attribute, or None for plain conjugate gradient.
     Iterates from x0 (default zero) until the recurred residual infinity
     norm drops below tol. Returns (solution, SolveReport); raises
-    BreakdownError on non-positive curvature and MaxIterationsExceeded
+    BreakdownError on non-positive or NaN curvature and MaxIterationsExceeded
     (carrying the best iterate and the report) when the step budget runs
     out. ``callback(step, x, r)`` is invoked after every accepted step.
     """
@@ -100,9 +100,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         counts["operator_apply"] += schur.matvec_flops
         curvature = float(y @ d)
         counts["curvature_dot"] += n
-        if curvature <= 0.0:
+        if not curvature > 0.0:
             raise BreakdownError(
-                f"non-positive curvature {curvature:.3e}; operator or "
+                f"non-positive or NaN curvature {curvature:.3e}; operator or "
                 "preconditioner is not positive definite"
             )
         alpha = mu / curvature

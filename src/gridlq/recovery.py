@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionGuardError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 from .grid_problem import GridLQProblem, GridLayout
-from .kkt_assembly import PairSplitting, SchurOperator, StackedSystem
-
-ORACLE_GUARD = 2000
+from .kkt_assembly import DENSE_GUARD, PairSplitting, SchurOperator, StackedSystem, guard
 
 
 @dataclass
@@ -170,14 +168,11 @@ def _dense_kkt(problem: GridLQProblem, lay: GridLayout):
     return a, b, q, r, offset
 
 
-def dense_reference_solve(problem: GridLQProblem, max_dim=ORACLE_GUARD) -> TrajectorySolution:
+def dense_reference_solve(problem: GridLQProblem, max_dim=DENSE_GUARD) -> TrajectorySolution:
     """Direct dense solve of the optimality system; the oracle every
     iterative path is checked against."""
     lay = GridLayout(problem)
-    if lay.n_total > max_dim:
-        raise DimensionGuardError(
-            f"dense reference solve of dimension {lay.n_total} exceeds cap {max_dim}"
-        )
+    guard(lay.n_total, max_dim)
     a, b, q, r, offset = _dense_kkt(problem, lay)
     delta_mat = a @ np.linalg.solve(q, a.T) + b @ np.linalg.solve(r, b.T)
     delta_mat = 0.5 * (delta_mat + delta_mat.T)
@@ -214,7 +209,13 @@ class ConditioningReport:
     lambda_max_preconditioned: float
 
 
-def condition_numbers(schur: SchurOperator, precond, max_dim=ORACLE_GUARD) -> ConditioningReport:
+def _congruence_eigvalsh(a, f):
+    """Ascending eigenvalues of the symmetric part of F' A F."""
+    m = f.T @ a @ f
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
+
+
+def condition_numbers(schur: SchurOperator, precond, max_dim=DENSE_GUARD) -> ConditioningReport:
     """Extreme eigenvalues and condition numbers of the reduced operator
     and of its preconditioned transform.
 
@@ -223,17 +224,11 @@ def condition_numbers(schur: SchurOperator, precond, max_dim=ORACLE_GUARD) -> Co
     its spectrum with the symmetric split preconditioned operator without
     forming matrix square roots.
     """
-    if schur.dim > max_dim:
-        raise DimensionGuardError(
-            f"conditioning of dimension {schur.dim} exceeds cap {max_dim}"
-        )
     dense = schur.densify(max_dim)
     evals = np.linalg.eigvalsh(dense)
     lo, hi = float(evals[0]), float(evals[-1])
     pmat = precond.materialize(max_dim)
-    lfac = np.linalg.cholesky(0.5 * (pmat + pmat.T))
-    transformed = lfac.T @ dense @ lfac
-    pevals = np.linalg.eigvalsh(0.5 * (transformed + transformed.T))
+    pevals = _congruence_eigvalsh(dense, np.linalg.cholesky(0.5 * (pmat + pmat.T)))
     plo, phi = float(pevals[0]), float(pevals[-1])
     return ConditioningReport(
         kappa_delta=hi / lo,
@@ -245,36 +240,21 @@ def condition_numbers(schur: SchurOperator, precond, max_dim=ORACLE_GUARD) -> Co
     )
 
 
-def spectral_radius(operator, dim=None, max_dim=ORACLE_GUARD):
-    """Largest eigenvalue magnitude of a dense matrix or of a linear map
-    given as a callable together with its dimension."""
-    if callable(operator):
-        if dim is None:
-            raise ValueError("a callable operator needs its dimension")
-        if dim > max_dim:
-            raise DimensionGuardError(f"dimension {dim} exceeds cap {max_dim}")
-        mat = operator(np.eye(dim))
-    else:
-        mat = np.asarray(operator, dtype=float)
-        if mat.shape[0] > max_dim:
-            raise DimensionGuardError(
-                f"dimension {mat.shape[0]} exceeds cap {max_dim}"
-            )
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+def _split_radius(diag, coupling):
+    """Spectral radius of D^-1 C for SPD D and symmetric C, given as
+    stencils: D^-1 C is similar to L^-1 C L^-T with L the Cholesky factor
+    of D, whose spectrum is real."""
+    linv = np.linalg.inv(np.linalg.cholesky(diag.densify()))
+    evals = _congruence_eigvalsh(coupling.densify(), linv.T)
+    return float(np.max(np.abs(evals)))
 
 
 def splitting_spectral_radii(schur: SchurOperator, splitting: PairSplitting,
-                             max_dim=ORACLE_GUARD):
+                             max_dim=DENSE_GUARD):
     """Spectral radii of the two stationary iteration matrices:
     (pair-diagonal)^-1 (inter-pair couplings) and
     (stage-diagonal)^-1 (stage couplings)."""
-    dense = schur.densify(max_dim)
-    stage_diag = schur.densify_block_diag(max_dim)
-    outer = stage_diag - dense
-    rho_outer = spectral_radius(np.linalg.solve(stage_diag, outer), max_dim=max_dim)
-    pair_diag = splitting.densify_pair_diag(max_dim)
-    inner = pair_diag - stage_diag
-    rho_inner = spectral_radius(np.linalg.solve(pair_diag, inner), max_dim=max_dim)
+    guard(schur.dim, max_dim)
+    rho_inner = _split_radius(splitting.pair_diag, splitting.inner)
+    rho_outer = _split_radius(schur.diag, schur.outer)
     return rho_inner, rho_outer

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from gridlq import generate_msd_case, kkt_assembly, save_problem
 from gridlq.grid_problem import problem_to_dict
@@ -131,6 +132,58 @@ class TestRun:
                                "--threads", "0")
         assert code == 2
         assert "--threads" in err
+
+    @pytest.mark.parametrize("spec", [
+        ["--L", "0"], ["--S", "0"], ["--L", "1"], ["--tol", "0"],
+        ["--tol", "nan"], ["--tol", "inf"], ["--max-steps", "0"],
+        ["--max-outer", "0", "--solver", "nbjm"],
+        ["--L", "1", "--solver", "nbjm", "--S", "0"],
+    ])
+    def test_bad_solver_spec_exit_code(self, capsys, spec):
+        code, out, err = run_cli(capsys, "run", "--case", "case1", "--size", "2", *spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1
+
+    def test_odd_budget_compare_rejected_for_pcgm(self, capsys):
+        code, _, err = run_cli(capsys, "compare", "--case", "case1", "--size", "2",
+                               "--solver-a", "nbjm", "--solver-b", "pcgm", "--L", "1")
+        assert code == 2
+        assert "even" in err
+
+    def test_odd_budget_nbjm_reports_radii(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--case", "irrigation", "--size", "2",
+                               "--solver", "nbjm", "--L", "1")
+        assert code == 0
+        rec = parse_csv(out)[0]
+        assert rec["converged"] == "true"
+        # the odd-budget map is not SPD: no kappa columns, radii still there
+        assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
+        assert 0 <= float(rec["rho_inner_split"]) < 1
+        assert 0 < float(rec["rho_outer_split"]) < 1
+
+    def test_divergence_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                 "--solver", "nbjm", "--L", "1")
+        assert code == 3
+        assert "diverged" in err and err.count("\n") == 1
+        rec = parse_csv(out)[0]
+        assert rec["converged"] == "false" and int(rec["steps"]) <= 300
+
+    @pytest.mark.parametrize("solver", ["pcgm", "cg", "nbjm", "dense"])
+    def test_numerically_indefinite_problem_exit_code(self, capsys, tmp_path, solver):
+        # passes validate, but Q = 1e300 I leaves pair-diagonal pivots
+        # of 1e-300 that the factorization rejects
+        p = generate_msd_case(2, 2, 2, seed=0)
+        for i in range(2):
+            for j in range(2):
+                p.sub(i, j).Q = [1e300 * np.eye(4)] * 3
+        path = tmp_path / "huge_q.json"
+        save_problem(p, path)
+        code, _, err = run_cli(capsys, "run", "--problem-file", str(path),
+                               "--solver", solver)
+        assert code == 2
+        assert err.startswith("invalid problem:") and err.count("\n") == 1
 
     def test_problem_file_round_trip(self, capsys, tmp_path):
         p = generate_msd_case(2, 2, 2, seed=1)

@@ -3,6 +3,7 @@ import pytest
 
 from gridlq import (
     DimensionGuardError,
+    DivergenceError,
     MaxIterationsExceeded,
     NestedJacobiPreconditioner,
     build_schur,
@@ -11,6 +12,7 @@ from gridlq import (
     dense_reference_solve,
     generate_irrigation_case,
     generate_msd_case,
+    splitting_spectral_radii,
 )
 
 from conftest import make_uncoupled_problem
@@ -137,9 +139,9 @@ class TestStandaloneSolve:
         rng = np.random.default_rng(6)
         r = rng.standard_normal(op.dim)
         sol, outers = precond.solve(r, tol=1e-9)
-        # the exact answer appears after one sweep; the successive-difference
-        # detector can only confirm it on the next one
-        assert outers <= 2
+        # the sweep inverts the operator exactly, so the true residual
+        # checked after the first sweep is already zero
+        assert outers == 1
         assert np.array_equal(sol, r)
 
     def test_converges_to_oracle(self, msd_ops):
@@ -150,6 +152,29 @@ class TestStandaloneSolve:
         assert res / np.max(np.abs(stacked.offset)) < 1e-7
         assert np.max(np.abs(sol - ref.multipliers)) < 1e-6
         assert outers > 10
+
+    @pytest.mark.parametrize("case", ["msd", "irrigation"])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_returns_only_below_tol(self, case, size):
+        # the criterion-7 instances; tol bounds the true residual
+        if case == "msd":
+            p = generate_msd_case(size, size, size, 0)
+        else:
+            p = generate_irrigation_case(size, size, size, seed=0)
+        stacked = build_stacked(p)
+        op = build_schur(stacked)
+        precond = NestedJacobiPreconditioner(op, 2, 2)
+        sol, _ = precond.solve(stacked.offset, tol=1e-9)
+        assert np.max(np.abs(op.apply(sol) - stacked.offset)) < 1e-9
+
+    def test_odd_inner_budget_diverges_early(self):
+        p = generate_msd_case(3, 3, 3, 0)
+        stacked = build_stacked(p)
+        precond = NestedJacobiPreconditioner(build_schur(stacked), inner_sweeps=1)
+        with pytest.raises(DivergenceError) as info:
+            precond.solve(stacked.offset, tol=1e-9)
+        assert info.value.iterations <= 300
+        assert info.value.iterate is not None
 
     def test_odd_inner_budget_allowed(self):
         p = generate_irrigation_case(2, 2, 2)
@@ -205,6 +230,9 @@ class TestSpectralStructure:
         rho_inner = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(phi, phi - psi))))
         assert 0 <= rho_outer < 1
         assert 0 <= rho_inner < 1
+        got_inner, got_outer = splitting_spectral_radii(op, split)
+        assert abs(got_inner - rho_inner) < 1e-10
+        assert abs(got_outer - rho_outer) < 1e-10
 
     @pytest.mark.parametrize("sweeps", [2, 4])
     def test_truncated_inverse_is_underestimate(self, sweeps, msd_ops):

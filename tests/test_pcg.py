@@ -29,6 +29,13 @@ class NegatedOperator:
         return -x
 
 
+class NaNOperator(NegatedOperator):
+    """Stub whose products are all NaN."""
+
+    def apply(self, x):
+        return np.full_like(x, np.nan)
+
+
 @pytest.fixture(scope="module")
 def msd_setup():
     problem = generate_msd_case(3, 3, 3, seed=1)
@@ -162,6 +169,10 @@ class TestFailureModes:
         op = NegatedOperator(6)
         with pytest.raises(BreakdownError):
             cg_solve(op, np.ones(6), tol=1e-9)
+
+    def test_breakdown_on_nan_curvature(self):
+        with pytest.raises(BreakdownError):
+            cg_solve(NaNOperator(6), np.ones(6), tol=1e-9, max_steps=50)
 
     def test_max_steps_exceeded_carries_payload(self, msd_setup):
         _, stacked, op, precond, _ = msd_setup

@@ -19,6 +19,7 @@ from gridlq import (
     build_stacked,
     cg_solve,
     dense_reference_solve,
+    kkt_residual,
     pcg_solve,
     recover_solution,
     simulate_states,
@@ -79,7 +80,7 @@ def rel_err(got, want):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(K=st.integers(1, 4), N=st.integers(1, 4), T=st.integers(1, 3),
+@given(K=st.integers(1, 5), N=st.integers(1, 5), T=st.integers(1, 4),
        boundary_on=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
     problem = random_problem(K, N, T, boundary_on, seed)
@@ -93,6 +94,7 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
         "cg": cg_solve(schur, stacked.offset, tol=1e-11)[0],
         "nbjm": precond.solve(stacked.offset, tol=1e-13)[0],
     }
+    assert float(np.max(np.abs(schur.apply(solutions["nbjm"]) - stacked.offset))) < 1e-13
     for name, lam in solutions.items():
         assert rel_err(lam, reference.multipliers) <= 1e-6, name
         sol = recover_solution(stacked, lam)
@@ -101,3 +103,4 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
         sim = simulate_states(problem, stacked.layout, sol.u_flat)
         scale = max(1.0, float(np.max(np.abs(sol.x_flat))))
         assert float(np.max(np.abs(sim - sol.x_flat))) <= 1e-6 * scale, name
+        assert max(kkt_residual(stacked, sol)) <= 1e-9 * scale, name

@@ -15,7 +15,6 @@ from gridlq import (
     pcg_solve,
     recover_solution,
     simulate_states,
-    spectral_radius,
     splitting_spectral_radii,
 )
 
@@ -160,18 +159,6 @@ class TestConditionNumbers:
 
 
 class TestSpectralRadius:
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((4, 4))) == 0.0
-
-    def test_diagonal(self):
-        assert abs(spectral_radius(np.diag([0.5, -0.9])) - 0.9) < 1e-14
-
-    def test_callable_form(self):
-        mat = np.diag([0.3, -0.7])
-        assert abs(spectral_radius(lambda x: mat @ x, dim=2) - 0.7) < 1e-14
-        with pytest.raises(ValueError):
-            spectral_radius(lambda x: x)
-
     def test_outer_iteration_radius_in_unit_interval(self):
         p = generate_msd_case(3, 3, 3, seed=1)
         op = build_schur(build_stacked(p))
@@ -179,7 +166,5 @@ class TestSpectralRadius:
         rho_inner, rho_outer = splitting_spectral_radii(op, split)
         assert 0 < rho_outer < 1
         assert 0 < rho_inner < 1
-
-    def test_guard(self):
         with pytest.raises(DimensionGuardError):
-            spectral_radius(np.eye(40), max_dim=10)
+            splitting_spectral_radii(op, split, max_dim=op.dim - 1)
