@@ -102,7 +102,9 @@ def _write_output(records, args):
         _emit(records, args, sys.stdout)
 
 
-def _solve_record(problem, label, args):
+def _solve_record(problem, label, args, diagnostics=True):
+    """Solve one problem and return (record, exit status). With
+    ``diagnostics`` false the dense conditioning columns stay blank."""
     rec = {
         "case": label,
         "K": problem.K,
@@ -131,8 +133,9 @@ def _solve_record(problem, label, args):
     precond = None
     factor_s = 0.0
     sol = None
+    diagnose = diagnostics and lay.n_total <= args.max_dense_dim
     try:
-        if args.solver in ("pcgm", "nbjm") or lay.n_total <= args.max_dense_dim:
+        if args.solver in ("pcgm", "nbjm") or diagnose:
             t0 = time.perf_counter()
             splitting = build_splitting(schur)
             precond = NestedJacobiPreconditioner(
@@ -204,7 +207,7 @@ def _solve_record(problem, label, args):
         rec["kkt_stationarity_u"] = ru
         rec["kkt_dynamics"] = rdyn
 
-    if lay.n_total <= args.max_dense_dim and precond is not None:
+    if diagnose and precond is not None:
         # an odd inner budget gives a map that is not SPD: no kappa columns
         if args.L % 2 == 0:
             cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
@@ -315,7 +318,8 @@ def _run(args):
 def _run_single(problem, label, args, solver):
     sub_args = argparse.Namespace(**vars(args))
     sub_args.solver = solver
-    return _solve_record(problem, label, sub_args)
+    # compare prints no conditioning column, so it skips the dense diagnostics
+    return _solve_record(problem, label, sub_args, diagnostics=False)
 
 
 def _compare(args):

@@ -12,6 +12,8 @@ operator with the inner sweep as its approximate inverse.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DivergenceError, MaxIterationsExceeded
@@ -105,8 +107,11 @@ class NestedJacobiPreconditioner:
         drops below tol and returns (solution, outer sweep count). Raises
         DivergenceError when the residual turns non-finite or exceeds 1e3
         times its initial value, and MaxIterationsExceeded when the budget
-        runs out; both carry the last iterate.
+        runs out; both carry the last iterate. Raises ValueError unless tol
+        is finite and positive.
         """
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         rhs = np.asarray(rhs, dtype=float)
         lam = np.zeros_like(rhs)
         res = rhs

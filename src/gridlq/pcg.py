@@ -9,6 +9,7 @@ repeated runs produce bitwise identical results.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,8 +65,8 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         raise DimensionMismatchError("right-hand side does not match operator dimension")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if max_steps is None:
         max_steps = schur.dim + 50
     if max_steps < 1:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gridlq import generate_msd_case, kkt_assembly, save_problem
+from gridlq import cli, generate_msd_case, kkt_assembly, save_problem
 from gridlq.grid_problem import problem_to_dict
 from gridlq.cli import CSV_COLUMNS, main
 
@@ -267,6 +267,28 @@ class TestCompare:
         lines = [l for l in out.splitlines() if l.startswith("steps")]
         parts = lines[0].split()
         assert parts[1] == parts[2]
+
+    def test_skips_unreported_diagnostics(self, capsys, monkeypatch):
+        names = ("condition_numbers", "splitting_spectral_radii")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare prints no dense diagnostic")
+
+        for name in names:
+            monkeypatch.setattr(cli, name, refuse)
+        code, _, err = run_cli(capsys, "compare", "--case", "case1", "--size", "3")
+        assert code == 0, err
+
+        monkeypatch.undo()
+        calls = []
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3")
+        assert code == 0, err
+        assert sorted(calls) == sorted(names)
 
     def test_pcgm_vs_nbjm_steps(self, capsys):
         code, out, _ = run_cli(

@@ -185,6 +185,12 @@ class TestStandaloneSolve:
         res = np.max(np.abs(op.apply(sol) - stacked.offset))
         assert res < 1e-8 * max(1.0, np.max(np.abs(stacked.offset)))
 
+    @pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, msd_ops, tol):
+        _, stacked, _, precond = msd_ops
+        with pytest.raises(ValueError, match="tolerance"):
+            precond.solve(stacked.offset, tol=tol, max_outer=1)
+
     def test_max_outer_exhaustion(self, msd_ops):
         _, stacked, op, precond = msd_ops
         with pytest.raises(MaxIterationsExceeded) as info:

@@ -191,3 +191,9 @@ class TestFailureModes:
             cg_solve(op, np.full(op.dim, np.nan))
         with pytest.raises(ValueError):
             cg_solve(op, stacked.offset, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, msd_setup, tol):
+        _, stacked, op, precond, _ = msd_setup
+        with pytest.raises(ValueError, match="tolerance"):
+            pcg_solve(op, precond, stacked.offset, tol=tol, max_steps=1)

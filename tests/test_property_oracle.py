@@ -4,7 +4,9 @@ structured path and checked against the dense oracle.
 The ranges cover heterogeneous state and input sizes per subsystem, odd K
 and N, T = 1, couplings present or absent per subsystem and direction,
 boundary trajectories on or off, and SPD cost weights that are not the
-identity. Hypothesis draws the shape and a seed; the seed draws the data.
+identity. The splitting radii are checked against the dense iteration
+matrices on every instance. Hypothesis draws the shape and a seed; the
+seed draws the data.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from gridlq import (
     pcg_solve,
     recover_solution,
     simulate_states,
+    splitting_spectral_radii,
     validate,
 )
 
@@ -104,3 +107,13 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
         scale = max(1.0, float(np.max(np.abs(sol.x_flat))))
         assert float(np.max(np.abs(sim - sol.x_flat))) <= 1e-6 * scale, name
         assert max(kkt_residual(stacked, sol)) <= 1e-9 * scale, name
+
+    # the structured radii against D^-1 C of the full densified splitting
+    split = precond.splitting
+    rho_inner, rho_outer = splitting_spectral_radii(schur, split)
+    for got, d, c in ((rho_inner, split.pair_diag, split.inner),
+                      (rho_outer, schur.diag, schur.outer)):
+        want = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(d.densify(), c.densify()))))
+        assert abs(got - want) <= 1e-10
+    if N <= 2:
+        assert rho_inner == 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,20 @@ class TestSpectralRadius:
         assert 0 < rho_inner < 1
         with pytest.raises(DimensionGuardError):
             splitting_spectral_radii(op, split, max_dim=op.dim - 1)
+
+    def test_no_full_dimension_factor_or_eigenproblem(self, monkeypatch):
+        # T + 1 = 6 stages: per-stage problems and one half-size eigenproblem
+        p = generate_msd_case(5, 5, 5, seed=1)
+        op = build_schur(build_stacked(p))
+        split = build_splitting(op)
+        dims = {"eigvalsh": [], "cholesky": [], "inv": []}
+        for name in dims:
+            def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                dims[_name].append(max(np.shape(a)))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        splitting_spectral_radii(op, split)
+        lay = op.layout
+        assert all(dims.values())
+        assert max(max(d) for d in dims.values()) < op.dim
+        assert max(dims["eigvalsh"]) <= math.ceil((lay.T + 1) / 2) * lay.nhat
