@@ -122,15 +122,15 @@ class BlockTridiagCholesky:
             self.linv[r] = lower_triangular_inverse(dense_cholesky(block))
         self.factor_flops = batch * (rows * q**3 / 3.0 + (rows - 1) * 2.0 * q**3)
         self.solve_flops = batch * (rows * 2 * q * q + (rows - 1) * 2 * q * q)
-        self.dim = int(np.prod(self.shape))
 
     def solve(self, b):
         """Solve for one or many right-hand sides, ordered like ``diag``'s
         leading axes and one block row of entries: (dim,) or (dim, k)."""
         b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
+        dim = int(np.prod(self.shape))
+        if b.ndim not in (1, 2) or b.shape[0] != dim:
             raise DimensionMismatchError(
-                f"right-hand side has shape {b.shape}, factor expects {self.dim} rows"
+                f"right-hand side has shape {b.shape}, factor expects {dim} rows"
             )
         work = b.reshape(self.shape + (-1,)).copy()
         rows = self.shape[0]

@@ -10,6 +10,7 @@ one line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -92,14 +93,6 @@ def _emit(records, args, stream):
     else:
         json.dump({"records": records}, stream, indent=2)
         stream.write("\n")
-
-
-def _write_output(records, args):
-    if args.output:
-        with open(args.output, "w") as fh:
-            _emit(records, args, fh)
-    else:
-        _emit(records, args, sys.stdout)
 
 
 def _solve_record(problem, label, args, diagnostics=True):
@@ -297,21 +290,28 @@ def _run(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # opened before any solve, so an unwritable report path costs no work
+    try:
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     records = []
     status = EXIT_OK
-    for size in sizes:
-        try:
-            problem, label = _build_problem(args, size)
-        except (InvalidProblemError, OSError) as exc:
-            print(f"invalid problem: {exc}", file=sys.stderr)
-            status = EXIT_INVALID
-            break
-        rec, code = _solve_record(problem, label, args)
-        records.append(rec)
-        if code != EXIT_OK:
-            status = code
-            break
-    _write_output(records, args)
+    with out as stream:
+        for size in sizes:
+            try:
+                problem, label = _build_problem(args, size)
+            except (InvalidProblemError, OSError) as exc:
+                print(f"invalid problem: {exc}", file=sys.stderr)
+                status = EXIT_INVALID
+                break
+            rec, code = _solve_record(problem, label, args)
+            records.append(rec)
+            if code != EXIT_OK:
+                status = code
+                break
+        _emit(records, args, stream)
     return status
 
 

@@ -84,23 +84,13 @@ class GridLQProblem:
         return self.subsystems[i][j]
 
 
-def _boundary_signal(boundary, direction, i, j):
-    """Boundary trajectory seen by (i, j) looking off-grid in `direction`."""
-    traj = getattr(boundary, direction)
-    if traj is None:
-        return None
-    idx = j if direction in ("north", "south") else i
-    return traj[idx]
-
-
 class GridLayout:
     """Index map for the stacked state/input vectors.
 
     States stack column-major inside a stage (all rows of column 0, then
     column 1, ...), and stages stack in time: the full state vector has
     ``nhat * (T + 1)`` entries and the input vector ``mhat * T`` (there is
-    no stage-T input). Consecutive columns group into pairs; the last pair
-    is a singleton when N is odd.
+    no stage-T input).
     """
 
     def __init__(self, problem: GridLQProblem):
@@ -125,14 +115,6 @@ class GridLayout:
             np.concatenate([[0], np.cumsum(c)]).astype(int) for c in self.col_m
         ]
 
-        self.pairs = [
-            tuple(range(j, min(j + 2, self.N))) for j in range(0, self.N, 2)
-        ]
-
-    @property
-    def n_pairs(self):
-        return len(self.pairs)
-
     def x_offset(self, i, j, t):
         return t * self.nhat + int(self.col_x_offset[j] + self.sub_x_offset[j][i])
 
@@ -150,17 +132,9 @@ class GridLayout:
     def stage_x_slice(self, t):
         return slice(t * self.nhat, (t + 1) * self.nhat)
 
-    def stage_u_slice(self, t):
-        return slice(t * self.mhat, (t + 1) * self.mhat)
-
     def col_x_slice(self, j):
         """Column j's slice inside one stage vector."""
         return slice(int(self.col_x_offset[j]), int(self.col_x_offset[j + 1]))
-
-    def pair_x_slice(self, v):
-        """Pair v's (contiguous) slice inside one stage vector."""
-        cols = self.pairs[v]
-        return slice(int(self.col_x_offset[cols[0]]), int(self.col_x_offset[cols[-1] + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +195,23 @@ def validate(problem: GridLQProblem) -> list:
         msgs.append("subsystem table does not match K x N")
         return msgs
 
+    # entry width of every declared boundary trajectory that passes its checks
+    widths = {}
+    for direction, count in (("north", N), ("south", N), ("west", K), ("east", K)):
+        traj = getattr(problem.boundary, direction)
+        if traj is None:
+            continue
+        if len(traj) != count:
+            msgs.append(f"boundary.{direction} has {len(traj)} entries, expected {count}")
+            continue
+        for idx, seq in enumerate(traj):
+            what = f"boundary.{direction}[{idx}]"
+            shape = np.shape(seq[0]) if len(seq) else None
+            if shape is not None and len(shape) != 1:
+                msgs.append(f"{what}[0] shape {shape}, expected a vector")
+            elif _checked(seq, T, shape, what, msgs) is not None:
+                widths[direction, idx] = shape[0]
+
     for i in range(K):
         for j in range(N):
             sub = problem.sub(i, j)
@@ -242,15 +233,17 @@ def validate(problem: GridLQProblem) -> list:
                     continue
                 if 0 <= i + di < K and 0 <= j + dj < N:
                     want = problem.sub(i + di, j + dj).n
+                elif getattr(problem.boundary, direction) is None:
+                    msgs.append(
+                        f"{tag}: {direction} coupling points off-grid "
+                        "but no boundary trajectory is declared"
+                    )
+                    continue
                 else:
-                    sig = _boundary_signal(problem.boundary, direction, i, j)
-                    if sig is None:
-                        msgs.append(
-                            f"{tag}: {direction} coupling points off-grid "
-                            "but no boundary trajectory is declared"
-                        )
+                    # a trajectory that failed its checks is already reported
+                    want = widths.get((direction, j if di else i))
+                    if want is None:
                         continue
-                    want = len(np.asarray(sig[0]))
                 _checked(blocks, T, (n, want), f"{tag}: {direction} coupling", msgs)
 
     init = problem.boundary.init
@@ -265,16 +258,6 @@ def validate(problem: GridLQProblem) -> list:
                 elif not np.isfinite(np.asarray(init[i][j], dtype=float)).all():
                     msgs.append(f"initial state ({i}, {j}) has non-finite entries")
 
-    for direction, count in (("north", N), ("south", N), ("west", K), ("east", K)):
-        traj = getattr(problem.boundary, direction)
-        if traj is None:
-            continue
-        if len(traj) != count:
-            msgs.append(f"boundary.{direction} has {len(traj)} entries, expected {count}")
-            continue
-        for idx, seq in enumerate(traj):
-            shape = np.shape(seq[0]) if len(seq) else None
-            _checked(seq, T, shape, f"boundary.{direction}[{idx}]", msgs)
     return msgs
 
 
@@ -528,9 +511,11 @@ def save_problem(problem: GridLQProblem, path):
 
 
 def load_problem(path) -> GridLQProblem:
-    with open(path) as fh:
+    """Problem from a JSON problem file. Raises InvalidProblemError when the
+    file is not UTF-8 JSON or not a valid problem document."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidProblemError(f"{path} is not JSON: {exc}") from exc
     return problem_from_dict(data)

@@ -7,10 +7,11 @@ diagonal is a 13-offset stencil of small dense blocks over (column, row),
 and adjacent stages couple through a 5-offset stencil and its transpose.
 This module assembles that operator (``SchurOperator``) as one ``Stencil``
 over the padded (t, j, i) grid, plus the two-level splitting used by the
-nested Jacobi sweeps: consecutive columns are grouped into pairs, whose
-paired diagonal blocks become SPD block tri-diagonal matrices after pairing
-rows (``PairSplitting``), and the inter-pair couplings are applied on the
-fly.
+nested Jacobi sweeps (``PairSplitting``): consecutive columns are grouped
+into pairs, whose paired diagonal blocks become SPD block tri-diagonal
+matrices after pairing rows, and the inter-pair couplings are applied on the
+fly. The pairing is private to the splitting: its factor solves
+natural-layout operands.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
 the primal recovery is ``x = -Qinv (A' lam)``, ``u = -Rinv (B' lam)``,
@@ -26,7 +27,7 @@ import numpy as np
 from .block_linalg import BlockTridiagCholesky, spd_inverse, transposed
 from .errors import DimensionGuardError, InvalidProblemError
 from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, validate
-from .stencil import Padding, Stencil, scatter_blocks, shifted
+from .stencil import Padding, Stencil, shifted
 
 # cap on the dimension of every dense view, oracle and diagnostic: their
 # memory grows quadratically and their cost cubically
@@ -55,8 +56,7 @@ class StackedSystem:
     inputs, laid out by ``upad``.
     """
 
-    def __init__(self, problem, layout, xpad, upad, constraint, b, q, r, offset):
-        self.problem = problem
+    def __init__(self, layout, xpad, upad, constraint, b, q, r, offset):
         self.layout = layout
         self.xpad = xpad
         self.upad = upad
@@ -96,19 +96,6 @@ class StackedSystem:
     def apply_cost_inverse_u(self, u):
         return self.upad.unpad(self.rinv @ self.upad.pad(u), np.ndim(u) == 1)
 
-    # -- dense views (tests and oracles only) --------------------------------
-
-    def densify_constraint(self, max_dim=DENSE_GUARD):
-        guard(self.layout.n_total, max_dim)
-        return self.constraint.densify()
-
-    def densify_input_map(self, max_dim=DENSE_GUARD):
-        guard(self.layout.n_total, max_dim)
-        out = np.zeros((self.layout.n_total, self.layout.m_total))
-        rows = self.xpad.natural_positions()[1:]
-        scatter_blocks(out, rows, self.upad.natural_positions(), self.b)
-        return out
-
 
 def build_stacked(problem: GridLQProblem) -> StackedSystem:
     """Assemble the stacked operators and the offset vector.
@@ -145,7 +132,7 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
                 offset[1:, j, i, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
 
     return StackedSystem(
-        problem, lay, xpad, upad, Stencil(constraint, xpad),
+        lay, xpad, upad, Stencil(constraint, xpad),
         b=xpad.stack(problem, "B", T, upad.block),
         q=xpad.stack(problem, "Q", T + 1, nb, unit=True),
         r=upad.stack(problem, "R", T, upad.block, unit=True),
@@ -194,7 +181,6 @@ class SchurOperator:
         self.layout = layout
         self.padding = pad
         self.dim = layout.n_total
-        self.pairs = layout.pairs
         self.stencil = Stencil(weights, pad)
         self.diag = Stencil({o: w for o, w in weights.items() if not o[0]}, pad)
         self.outer = Stencil({o: -w for o, w in weights.items() if o[0]}, pad)
@@ -266,8 +252,6 @@ class PairSplitting:
 
     def __init__(self, schur: SchurOperator):
         self.schur = schur
-        self.layout = schur.layout
-        self.pairs = schur.pairs
         pad = schur.padding
         cols = np.arange(pad.grid[1])
         pair, inner = {}, {}
@@ -290,12 +274,14 @@ class PairSplitting:
 
     def factor(self):
         """Cholesky factors of every paired diagonal block, as one batched
-        block tri-diagonal factorization over all (pair, stage).
+        block tri-diagonal factorization over all (pair, stage), solving
+        natural-layout operands.
 
         Block row r holds the 2 x 2 subsystems of rows 2r and 2r + 1 in the
-        pair's two columns, ordered as ``Padding.to_pairs``.
+        pair's two columns, ordered as ``_PairFactor`` permutes operands.
         """
-        T1, Np, Kp, nb = self.schur.padding.shape
+        pad = self.schur.padding
+        T1, Np, Kp, nb = pad.shape
         # [0] diagonal blocks, [1] blocks coupling row pair r to r - 1
         blocks = np.zeros((2, Kp // 2, T1, Np // 2, 2, 2, nb, 2, 2, nb))
         for (_, dj, di), w in self.pair_diag.weights.items():
@@ -307,7 +293,28 @@ class PairSplitting:
                             w[:, c::2, a::2].transpose(2, 0, 1, 3, 4)
                         )
         blocks = blocks.reshape(2, Kp // 2, T1, Np // 2, 4 * nb, 4 * nb)
-        return BlockTridiagCholesky(blocks[0], blocks[1])
+        return _PairFactor(blocks[0], blocks[1], pad)
+
+
+class _PairFactor(BlockTridiagCholesky):
+    """The batched pair factor on natural-layout operands.
+
+    Its block rows run over row pairs, with batch axes (t, column pair) and
+    entries (column in pair, row in pair, entry), so ``solve`` pads its
+    operand and permutes it into that order and back.
+    """
+
+    def __init__(self, diag, sub, padding):
+        super().__init__(diag, sub)
+        self.padding = padding
+
+    def solve(self, b):
+        """Solve for a natural-layout operand (dim,) or (dim, k)."""
+        T1, Np, Kp, nb = self.padding.shape
+        bp = self.padding.pad(b).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
+        y = super().solve(bp.transpose(3, 0, 1, 2, 4, 5, 6).reshape(self.padding.size, -1))
+        y = y.reshape(Kp // 2, T1, Np // 2, 2, 2, nb, -1).transpose(1, 2, 3, 0, 4, 5, 6)
+        return self.padding.unpad(y, np.ndim(b) == 1)
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:

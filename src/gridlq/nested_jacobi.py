@@ -58,25 +58,17 @@ class NestedJacobiPreconditioner:
 
     # -- sweeps ------------------------------------------------------------
 
-    def _pair_solves(self, rhs):
-        pad = self.schur.padding
-        out = self.factors[PAIRS].solve(pad.to_pairs(rhs))
-        return pad.from_pairs(out, np.ndim(rhs) == 1)
-
-    def inner_sweep(self, rhs, sweeps=None):
-        """Run a fixed number of inner sweeps from a zero start.
+    def inner_sweep(self, rhs):
+        """Run the inner budget of sweeps from a zero start.
 
         Each sweep solves every (pair, stage) block against the rhs plus
         the inter-pair couplings of the previous sweep's iterate; the first
         sweep's coupling term vanishes and is skipped. The result is linear
         in rhs.
         """
-        count = self.inner_sweeps if sweeps is None else int(sweeps)
-        if count < 1:
-            raise ValueError("need at least one inner sweep")
-        theta = self._pair_solves(rhs)
-        for _ in range(count - 1):
-            theta = self._pair_solves(rhs + self.splitting.apply_inner_coupling(theta))
+        theta = self.factors[PAIRS].solve(rhs)
+        for _ in range(self.inner_sweeps - 1):
+            theta = self.factors[PAIRS].solve(rhs + self.splitting.apply_inner_coupling(theta))
         return theta
 
     def apply(self, r):

@@ -98,19 +98,6 @@ class Padding:
         out = flat if self.is_reshape else flat[self.index]
         return out[:, 0] if vector else out
 
-    def to_pairs(self, x):
-        """Natural operand -> (rows, k) in row-pair order: axes (row pair,
-        t, column pair, column in pair, row in pair, entry), so every 4-block
-        row pair of a column pair is contiguous."""
-        T1, Np, Kp, nb = self.shape
-        xp = self.pad(x).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
-        return xp.transpose(3, 0, 1, 2, 4, 5, 6).reshape(self.size, -1)
-
-    def from_pairs(self, y, vector):
-        T1, Np, Kp, nb = self.shape
-        yp = y.reshape(Kp // 2, T1, Np // 2, 2, 2, nb, -1).transpose(1, 2, 3, 0, 4, 5, 6)
-        return self.unpad(yp, vector)
-
     def natural_positions(self):
         """Padded-shape array of natural indices, -1 at padded entries."""
         out = np.full(self.size, -1, dtype=np.intp)

@@ -92,6 +92,12 @@ def make_boundary_problem(K=2, N=2, T=2):
     return GridLQProblem(K, N, T, subsystems, boundary)
 
 
+def column_pairs(N):
+    """The preconditioner's column pairs (j, j + 1), j even, over N grid
+    columns; the last pair is a singleton when N is odd."""
+    return [tuple(range(j, min(j + 2, N))) for j in range(0, N, 2)]
+
+
 @pytest.fixture(scope="session")
 def msd_223():
     return generate_msd_case(2, 2, 2, seed=3)

@@ -110,7 +110,21 @@ class TestRun:
         def ragged_matrix(doc):
             doc["subsystems"][0][1]["A"][0][2] = [1.0]
 
-        for corrupt in (missing_boundary, ragged_row, wrong_type, ragged_matrix):
+        def north_coupled(doc):
+            # (0, 1) looks off-grid to the north, onto trajectory north[1]
+            doc["subsystems"][0][1]["north"] = [np.eye(4).tolist()] * 2
+            doc["boundary"]["north"] = [[[0.0] * 4] * 2] * 2
+
+        def short_boundary(doc):
+            north_coupled(doc)
+            doc["boundary"]["north"].pop()
+
+        def empty_trajectory(doc):
+            north_coupled(doc)
+            doc["boundary"]["north"][1] = []
+
+        for corrupt in (missing_boundary, ragged_row, wrong_type, ragged_matrix,
+                        short_boundary, empty_trajectory):
             doc = problem_to_dict(generate_msd_case(2, 2, 2, seed=0))
             corrupt(doc)
             path = tmp_path / "bad.json"
@@ -118,6 +132,23 @@ class TestRun:
             code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
             assert code == 2, corrupt.__name__
             assert err.startswith("invalid problem:"), corrupt.__name__
+            assert "Traceback" not in err, corrupt.__name__
+
+    def test_undecodable_problem_file_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
+        assert code == 2
+        assert err.startswith("invalid problem:") and err.count("\n") == 1
+
+    def test_unwritable_output_checked_before_solve(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_stacked", lambda p: calls.append(p))
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "run", "--size", "2", "--output", str(out))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
 
     def test_validates_once_per_solve(self, capsys, monkeypatch):
         calls = []

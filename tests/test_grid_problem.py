@@ -90,6 +90,22 @@ class TestValidate:
     def test_boundary_problem_valid(self):
         assert validate(make_boundary_problem()) == []
 
+    @pytest.mark.parametrize("corrupt", ["short", "empty", "scalar"])
+    def test_flags_malformed_boundary_trajectory(self, corrupt):
+        # the north coupling of (0, 1) reads trajectory north[1]; a bad one
+        # is reported, never indexed
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.sub(0, 1).north = [np.eye(4)] * p.T
+        p.boundary.north = [[np.zeros(4)] * p.T for _ in range(p.N)]
+        if corrupt == "short":
+            p.boundary.north.pop()
+        elif corrupt == "empty":
+            p.boundary.north[1] = []
+        else:
+            p.boundary.north[1] = [np.float64(0.0)] * p.T
+        msgs = validate(p)
+        assert any("boundary.north" in m for m in msgs)
+
     def test_flags_non_finite_entries(self):
         p = make_boundary_problem()
         sub = p.sub(0, 1)
@@ -230,11 +246,6 @@ class TestStateOffsets:
         assert lay.m_total == lay.mhat * p.T
         last = lay.u_offset(1, 1, p.T - 1) + p.sub(1, 1).m
         assert last == lay.m_total
-
-    def test_pairs(self):
-        assert GridLayout(generate_irrigation_case(1, 1, 1)).pairs == [(0,)]
-        assert GridLayout(generate_irrigation_case(1, 4, 1)).pairs == [(0, 1), (2, 3)]
-        assert GridLayout(generate_irrigation_case(1, 3, 1)).pairs == [(0, 1), (2,)]
 
 
 class TestProblemFiles:

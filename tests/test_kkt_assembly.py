@@ -18,6 +18,7 @@ from gridlq import (
 from gridlq.recovery import _dense_kkt
 
 from conftest import (
+    column_pairs,
     make_boundary_problem,
     make_scalar_chain,
     make_uncoupled_problem,
@@ -43,7 +44,7 @@ class TestBuildStacked:
         # the identity pinning plus the dynamics; no coupling offsets
         assert set(s.constraint.weights) == {(0, 0, 0), (-1, 0, 0)}
         lay = s.layout
-        dense = s.densify_constraint()
+        dense = s.constraint.densify()
         assert np.array_equal(
             dense[lay.stage_x_slice(1), lay.stage_x_slice(0)], 0.3 * np.eye(2)
         )
@@ -57,8 +58,8 @@ class TestBuildStacked:
         problem, stacked, _ = msd_333_ops
         lay = stacked.layout
         a, b, _, _, off = _dense_kkt(problem, lay)
-        assert np.max(np.abs(stacked.densify_constraint(5000) - a)) == 0.0
-        assert np.max(np.abs(stacked.densify_input_map(5000) - b)) == 0.0
+        assert np.max(np.abs(stacked.constraint.densify() - a)) == 0.0
+        assert np.max(np.abs(stacked.apply_input_map(np.eye(lay.m_total)) - b)) == 0.0
         assert np.array_equal(stacked.offset, off)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(lay.n_total)
@@ -72,7 +73,7 @@ class TestBuildStacked:
         p = generate_msd_case(2, 2, 2, seed=0)
         s = build_stacked(p)
         lay = s.layout
-        dense = s.densify_constraint()[lay.stage_x_slice(1), lay.stage_x_slice(0)]
+        dense = s.constraint.densify()[lay.stage_x_slice(1), lay.stage_x_slice(0)]
         for i in range(2):
             for j in range(2):
                 for ic in range(2):
@@ -187,7 +188,8 @@ class TestSplitting:
         p = generate_irrigation_case(3, 1, 2)
         op = build_schur(build_stacked(p))
         split = build_splitting(op)
-        assert len(op.pairs) == 1
+        # the factor's batch axes are (stage, column pair)
+        assert split.factor().shape[2] == len(column_pairs(p.N)) == 1
         assert np.array_equal(
             split.densify_pair_diag(5000), op.densify_block_diag(5000)
         )
@@ -201,8 +203,9 @@ class TestSplitting:
         psi = op.densify_block_diag(5000)
         lay = op.layout
         for t in range(lay.T + 1):
-            for v in range(len(op.pairs)):
-                g = np.arange(op.dim)[lay.stage_x_slice(t)][lay.pair_x_slice(v)]
+            for cols in column_pairs(lay.N):
+                pair = slice(lay.col_x_offset[cols[0]], lay.col_x_offset[cols[-1] + 1])
+                g = np.arange(op.dim)[lay.stage_x_slice(t)][pair]
                 assert np.array_equal(phi[np.ix_(g, g)], psi[np.ix_(g, g)])
 
     def test_inner_coupling_matches_dense(self, msd_333_ops):
@@ -227,7 +230,7 @@ class TestSplitting:
         op = build_schur(build_stacked(p))
         split = build_splitting(op)
         lay = op.layout
-        assert op.pairs == [(0, 1), (2, 3)]
+        assert split.factor().shape[2] == 2
         omega = split.densify_pair_diag(5000) - op.densify_block_diag(5000)
         stage = omega[lay.stage_x_slice(1), lay.stage_x_slice(1)]
         # rows of pair 1 against columns of pair 0: the (col 3, col 0)
@@ -242,7 +245,7 @@ class TestSplitting:
         op = build_schur(build_stacked(p))
         split = build_splitting(op)
         lay = op.layout
-        assert op.pairs == [(0, 1), (2,)]
+        assert split.factor().shape[2] == 2
         # the singleton pair's diagonal block is its stage-diagonal column
         # block, with no coupling to the first pair
         phi = split.densify_pair_diag(5000)[lay.stage_x_slice(1), lay.stage_x_slice(1)]
@@ -257,8 +260,9 @@ class TestSplitting:
         factor = split.factor()
         # one batch entry per (row pair, stage, pair); K = 3 pads to 4 rows
         lay = op.layout
-        assert factor.shape[:3] == (2, lay.T + 1, len(op.pairs))
-        lam = factor.solve(op.padding.to_pairs(np.ones(op.dim)))
+        assert factor.shape[:3] == (2, lay.T + 1, len(column_pairs(lay.N)))
+        lam = factor.solve(np.ones(op.dim))
+        assert lam.shape == (op.dim,)
         assert np.all(np.isfinite(lam))
 
 
@@ -283,7 +287,7 @@ class TestSignSimilarity:
         pair_sizes = []
         for _ in range(lay.T + 1):
             pair_sizes.extend(
-                sum(lay.nbar[j] for j in cols) for cols in op.pairs
+                sum(lay.nbar[j] for j in cols) for cols in column_pairs(lay.N)
             )
         signs = alternating_signs(pair_sizes)
         assert np.array_equal(signs @ psi @ signs, phi + omega)
