@@ -1,6 +1,16 @@
 """Benchmark command line: generate or load a grid problem, solve it with a
 chosen method, and emit machine-readable reports.
 
+`run` reports two condition numbers at every size: of the reduced operator
+and of the preconditioned one. They are Lanczos estimates from the step
+coefficients of conjugate gradient runs on the multiplier system, so they
+are lower bounds. The pcgm solve gives the preconditioned one itself, and
+one plain CG run on the same right-hand side gives the other; for the other
+solvers, each CG run the solve did not make is made once. With
+`--dense-conditioning` they come instead from the dense eigenproblems of
+`condition_numbers`, under `--max-dense-dim` only. The splitting radii
+always come from the dense per-stage eigenproblems, under that cap.
+
 Exit codes: 0 success; 2 invalid problem or solver spec, including a
 problem whose reduced operator is not numerically positive definite;
 3 non-convergence or divergence; 4 dimension guard. Each failure prints
@@ -21,6 +31,7 @@ import numpy as np
 from .errors import (
     BreakdownError,
     DimensionGuardError,
+    DivergenceError,
     InvalidProblemError,
     MaxIterationsExceeded,
     NotPositiveDefiniteError,
@@ -35,7 +46,7 @@ from .kkt_assembly import DENSE_GUARD, build_schur, build_splitting, build_stack
 from .nested_jacobi import NestedJacobiPreconditioner
 from .pcg import cg_solve, pcg_solve
 from .recovery import (
-    condition_numbers,
+    condition_numbers,  # kept importable here: perfbench/spans.py traces it
     dense_reference_solve,
     kkt_residual,
     recover_solution,
@@ -95,9 +106,22 @@ def _emit(records, args, stream):
         stream.write("\n")
 
 
+def _kappa_estimate(solve, *args, **kwargs):
+    """Lanczos condition number estimate from one CG run that converged or
+    stopped on its budget; None when it diverged."""
+    try:
+        _, report = solve(*args, **kwargs)
+    except DivergenceError:
+        return None
+    except MaxIterationsExceeded as exc:
+        report = exc.report
+    return report.kappa_estimate
+
+
 def _solve_record(problem, label, args, diagnostics=True):
     """Solve one problem and return (record, exit status). With
-    ``diagnostics`` false the dense conditioning columns stay blank."""
+    ``diagnostics`` false the conditioning and splitting-radius columns
+    stay blank."""
     rec = {
         "case": label,
         "K": problem.K,
@@ -126,9 +150,12 @@ def _solve_record(problem, label, args, diagnostics=True):
     precond = None
     factor_s = 0.0
     sol = None
-    diagnose = diagnostics and lay.n_total <= args.max_dense_dim
+    under_cap = diagnostics and lay.n_total <= args.max_dense_dim
+    # an odd inner budget gives a map that is not SPD: no kappa columns
+    kappas = diagnostics and args.L % 2 == 0 and (under_cap or not args.dense_conditioning)
+    reports = {}  # solver name -> SolveReport of a pcgm ("pcgm") or plain ("cg") run
     try:
-        if args.solver in ("pcgm", "nbjm") or diagnose:
+        if args.solver in ("pcgm", "nbjm") or under_cap or kappas:
             t0 = time.perf_counter()
             splitting = build_splitting(schur)
             precond = NestedJacobiPreconditioner(
@@ -142,6 +169,7 @@ def _solve_record(problem, label, args, diagnostics=True):
                 schur, precond, stacked.offset, tol=args.tol,
                 max_steps=args.max_steps,
             )
+            reports["pcgm"] = report
             rec["steps"] = report.steps
             rec["converged"] = report.converged
             rec["final_residual"] = report.final_residual
@@ -151,6 +179,7 @@ def _solve_record(problem, label, args, diagnostics=True):
                 schur, stacked.offset, tol=args.tol,
                 max_steps=args.max_steps,
             )
+            reports["cg"] = report
             rec["steps"] = report.steps
             rec["converged"] = report.converged
             rec["final_residual"] = report.final_residual
@@ -175,6 +204,11 @@ def _solve_record(problem, label, args, diagnostics=True):
     except MaxIterationsExceeded as exc:
         rec["steps"] = exc.iterations
         rec["converged"] = False
+        if isinstance(exc, DivergenceError):
+            # the coefficients of a diverged run estimate no spectrum
+            kappas = kappas and args.dense_conditioning
+        elif exc.report is not None:
+            reports[args.solver] = exc.report
         if exc.report is not None:
             rec["final_residual"] = exc.report.final_residual
         if exc.iterate is not None:
@@ -200,12 +234,21 @@ def _solve_record(problem, label, args, diagnostics=True):
         rec["kkt_stationarity_u"] = ru
         rec["kkt_dynamics"] = rdyn
 
-    if diagnose and precond is not None:
-        # an odd inner budget gives a map that is not SPD: no kappa columns
-        if args.L % 2 == 0:
-            cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
-            rec["kappa_delta"] = cond.kappa_delta
-            rec["kappa_preconditioned"] = cond.kappa_preconditioned
+    if kappas and args.dense_conditioning:
+        cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
+        rec["kappa_delta"] = cond.kappa_delta
+        rec["kappa_preconditioned"] = cond.kappa_preconditioned
+    elif kappas:
+        budget = {"tol": args.tol, "max_steps": args.max_steps}
+        rec["kappa_delta"] = (
+            reports["cg"].kappa_estimate if "cg" in reports
+            else _kappa_estimate(cg_solve, schur, stacked.offset, **budget)
+        )
+        rec["kappa_preconditioned"] = (
+            reports["pcgm"].kappa_estimate if "pcgm" in reports
+            else _kappa_estimate(pcg_solve, schur, precond, stacked.offset, **budget)
+        )
+    if under_cap:
         rho_inner, rho_outer = splitting_spectral_radii(
             schur, splitting, max_dim=args.max_dense_dim
         )
@@ -238,7 +281,8 @@ def _add_common(parser):
                              "runs on one thread and neither results nor speed "
                              "depend on it")
     parser.add_argument("--max-dense-dim", type=int, default=DENSE_GUARD,
-                        help="cap for dense solves and conditioning diagnostics")
+                        help="cap for dense solves, splitting radii and "
+                             "--dense-conditioning")
     parser.add_argument("--omit-timings", action="store_true",
                         help="blank the timing fields for reproducible reports")
 
@@ -257,6 +301,10 @@ def _parser():
                      default="pcgm")
     run.add_argument("--output", help="report file (stdout when omitted)")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
+    run.add_argument("--dense-conditioning", action="store_true",
+                     help="take the kappa columns from dense eigenproblems, "
+                          "under --max-dense-dim only, instead of Lanczos "
+                          "estimates at every size")
 
     cmp_cmd = sub.add_parser("compare", help="run two solvers on the same problem")
     _add_common(cmp_cmd)
@@ -318,7 +366,7 @@ def _run(args):
 def _run_single(problem, label, args, solver):
     sub_args = argparse.Namespace(**vars(args))
     sub_args.solver = solver
-    # compare prints no conditioning column, so it skips the dense diagnostics
+    # compare prints no conditioning column, so it skips the diagnostics
     return _solve_record(problem, label, sub_args, diagnostics=False)
 
 

@@ -5,6 +5,12 @@ every accepted step and uses it (not the raw residual) in the direction
 update, which is what makes the inner product bookkeeping consistent.
 Dot products are single full-vector reductions in a fixed order, so
 repeated runs produce bitwise identical results.
+
+PCG is a Lanczos process on the preconditioned operator, and its step
+coefficients define the Lanczos tridiagonal. The solve keeps them, so its
+report can estimate the operator's extreme eigenvalues for free (Meurant &
+Strakos, Acta Numerica 15, 2006; Saad, Iterative Methods for Sparse Linear
+Systems, 2003, section 6.7.3).
 """
 
 from __future__ import annotations
@@ -15,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatchError, MaxIterationsExceeded
+from .errors import (
+    BreakdownError,
+    DimensionMismatchError,
+    DivergenceError,
+    MaxIterationsExceeded,
+)
+
+# a recurred residual beyond this multiple of the initial one is divergence;
+# convergent solves of the paper's problem families grow it by under 2x
+DIVERGENCE_FACTOR = 1e8
 
 COUNT_KEYS = (
     "operator_apply",
@@ -37,6 +52,8 @@ class SolveReport:
     tolerance: float
     wall_time_s: float
     op_counts: dict = field(default_factory=dict)
+    alphas: list = field(default_factory=list)
+    betas: list = field(default_factory=list)
 
     @property
     def final_residual(self):
@@ -47,6 +64,34 @@ class SolveReport:
         total = sum(self.op_counts.values())
         return total / self.steps if self.steps else 0.0
 
+    def lanczos_extremes(self):
+        """(smallest, largest) eigenvalue of the Lanczos tridiagonal that the
+        step coefficients define: Ritz values of the (preconditioned)
+        operator, inside its spectrum, and converging to its extreme
+        eigenvalues as the solve proceeds.
+
+        With alpha_k the step lengths and beta_k the direction-update
+        ratios, the tridiagonal has diagonal 1/alpha_0 and
+        1/alpha_k + beta_(k-1)/alpha_(k-1), and off-diagonal
+        sqrt(beta_k)/alpha_k. Its size is the step count.
+        """
+        a = np.asarray(self.alphas)
+        b = np.asarray(self.betas[: a.size - 1])
+        diag = 1.0 / a
+        diag[1:] += b / a[:-1]
+        off = np.sqrt(b) / a[:-1]
+        tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        evals = np.linalg.eigvalsh(tri)
+        return float(evals[0]), float(evals[-1])
+
+    @property
+    def kappa_estimate(self):
+        """Condition number estimate from ``lanczos_extremes``: up to
+        rounding at most the true value, and close to it once the solve has
+        converged."""
+        lo, hi = self.lanczos_extremes()
+        return hi / lo
+
 
 def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
               callback=None):
@@ -56,14 +101,17 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     ``apply_flops`` attribute, or None for plain conjugate gradient.
     Iterates from x0 (default zero) until the recurred residual infinity
     norm drops below tol. Returns (solution, SolveReport); raises
-    BreakdownError on non-positive or NaN curvature and MaxIterationsExceeded
-    (carrying the best iterate and the report) when the step budget runs
-    out. ``callback(step, x, r)`` is invoked after every accepted step.
+    BreakdownError on non-positive or NaN curvature, DivergenceError when
+    the recurred residual turns non-finite or exceeds DIVERGENCE_FACTOR
+    times its initial infinity norm, and MaxIterationsExceeded when the
+    step budget runs out; the last two carry the last iterate and the
+    report. ``callback(step, x, r)`` is invoked after every accepted step.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1 or rhs.shape[0] != schur.dim:
         raise DimensionMismatchError("right-hand side does not match operator dimension")
-    if not np.all(np.isfinite(rhs)):
+    initial = float(np.max(np.abs(rhs)))
+    if not math.isfinite(initial):
         raise ValueError("right-hand side contains non-finite entries")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
@@ -84,6 +132,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         x = np.array(x0, dtype=float, copy=True)
         r = rhs - schur.apply(x)
         counts["operator_apply"] += schur.matvec_flops
+        initial = float(np.max(np.abs(r)))
+        counts["residual_norm"] += n
+    limit = DIVERGENCE_FACTOR * initial
 
     if preconditioner is not None:
         d = preconditioner.apply(r)
@@ -93,8 +144,8 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     mu = float(d @ r)
     counts["precondition_dot"] += n
 
-    history = []
-    converged = False
+    history, alphas, betas = [], [], []
+    converged = diverged = False
     steps = 0
     for _ in range(max_steps):
         y = schur.apply(d)
@@ -107,6 +158,7 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
                 "preconditioner is not positive definite"
             )
         alpha = mu / curvature
+        alphas.append(alpha)
         x += alpha * d
         counts["solution_update"] += n
         r = r - alpha * y
@@ -120,6 +172,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         if res < tol:
             converged = True
             break
+        if not res <= limit:
+            diverged = True
+            break
         if preconditioner is not None:
             q = preconditioner.apply(r)
             counts["preconditioner_apply"] += precond_flops
@@ -127,7 +182,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
             q = r
         mu_next = float(q @ r)
         counts["precondition_dot"] += n
-        d = q + (mu_next / mu) * d
+        beta = mu_next / mu
+        betas.append(beta)
+        d = q + beta * d
         counts["direction_update"] += n
         mu = mu_next
 
@@ -138,7 +195,18 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         tolerance=tol,
         wall_time_s=time.perf_counter() - start,
         op_counts=counts,
+        alphas=alphas,
+        betas=betas,
     )
+    if diverged:
+        raise DivergenceError(
+            f"conjugate gradient diverged after {steps} steps: residual "
+            f"{report.final_residual:.3e} is non-finite or above "
+            f"{DIVERGENCE_FACTOR:g} times its initial value",
+            iterate=x,
+            iterations=steps,
+            report=report,
+        )
     if not converged:
         raise MaxIterationsExceeded(
             f"conjugate gradient did not reach {tol:g} within {steps} steps "

@@ -5,7 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from gridlq import cli, generate_msd_case, kkt_assembly, save_problem
+from gridlq import (
+    NestedJacobiPreconditioner,
+    build_schur,
+    build_splitting,
+    build_stacked,
+    cg_solve,
+    cli,
+    condition_numbers,
+    generate_msd_case,
+    kkt_assembly,
+    pcg_solve,
+    save_problem,
+)
 from gridlq.grid_problem import problem_to_dict
 from gridlq.cli import CSV_COLUMNS, main
 
@@ -193,6 +205,66 @@ class TestRun:
         assert 0 <= float(rec["rho_inner_split"]) < 1
         assert 0 < float(rec["rho_outer_split"]) < 1
 
+    @pytest.mark.parametrize("solver", ["pcgm", "cg"])
+    def test_kappa_estimates_above_dense_cap(self, capsys, solver):
+        # 144 unknowns: the radii need the dense cap, the Lanczos kappas do not
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                 "--solver", solver, "--max-dense-dim", "50")
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        assert rec["rho_inner_split"] == rec["rho_outer_split"] == ""
+        stacked = build_stacked(generate_msd_case(3, 3, 3, 0))
+        schur = build_schur(stacked)
+        precond = NestedJacobiPreconditioner(schur, 2, 2)
+        _, plain = cg_solve(schur, stacked.offset, tol=1e-9)
+        _, pre = pcg_solve(schur, precond, stacked.offset, tol=1e-9)
+        assert rec["kappa_delta"] == repr(plain.kappa_estimate)
+        assert rec["kappa_preconditioned"] == repr(pre.kappa_estimate)
+        assert 1 < pre.kappa_estimate < plain.kappa_estimate
+
+    def test_dense_conditioning_writes_condition_numbers(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                 "--dense-conditioning")
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        schur = build_schur(build_stacked(generate_msd_case(3, 3, 3, 0)))
+        precond = NestedJacobiPreconditioner(
+            schur, 2, 2, splitting=build_splitting(schur))
+        cond = condition_numbers(schur, precond)
+        assert rec["kappa_delta"] == repr(cond.kappa_delta)
+        assert rec["kappa_preconditioned"] == repr(cond.kappa_preconditioned)
+
+    def test_default_run_makes_no_dense_conditioning(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default run needs no dense conditioning")
+
+        monkeypatch.setattr(cli, "condition_numbers", refuse)
+        monkeypatch.setattr(NestedJacobiPreconditioner, "materialize", refuse)
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3")
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        assert float(rec["kappa_delta"]) > float(rec["kappa_preconditioned"]) > 1
+
+    def test_budget_stopped_pcgm_reports_kappas(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                               "--max-steps", "2", "--max-dense-dim", "50")
+        assert code == 3
+        rec = parse_csv(out)[0]
+        assert rec["converged"] == "false"
+        assert float(rec["kappa_delta"]) >= 1 and float(rec["kappa_preconditioned"]) >= 1
+
+    def test_nbjm_kappas_need_even_budget(self, capsys):
+        kappas = {}
+        for budget in ("2", "1"):
+            code, out, err = run_cli(capsys, "run", "--case", "irrigation", "--size", "3",
+                                     "--solver", "nbjm", "--L", budget,
+                                     "--max-dense-dim", "50")
+            assert code == 0, err
+            rec = parse_csv(out)[0]
+            kappas[budget] = (rec["kappa_delta"], rec["kappa_preconditioned"])
+        assert all(float(k) > 1 for k in kappas["2"])
+        assert kappas["1"] == ("", "")
+
     def test_divergence_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
                                  "--solver", "nbjm", "--L", "1")
@@ -303,9 +375,10 @@ class TestCompare:
         names = ("condition_numbers", "splitting_spectral_radii")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("compare prints no dense diagnostic")
+            raise AssertionError("compare prints no diagnostic")
 
-        for name in names:
+        # pcgm against dense makes no plain CG run unless for a kappa estimate
+        for name in names + ("cg_solve",):
             monkeypatch.setattr(cli, name, refuse)
         code, _, err = run_cli(capsys, "compare", "--case", "case1", "--size", "3")
         assert code == 0, err
@@ -317,7 +390,8 @@ class TestCompare:
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
-        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3")
+        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3",
+                               "--dense-conditioning")
         assert code == 0, err
         assert sorted(calls) == sorted(names)
 

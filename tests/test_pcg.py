@@ -4,11 +4,13 @@ import pytest
 from gridlq import (
     BreakdownError,
     DimensionMismatchError,
+    DivergenceError,
     MaxIterationsExceeded,
     NestedJacobiPreconditioner,
     build_schur,
     build_stacked,
     cg_solve,
+    condition_numbers,
     dense_reference_solve,
     generate_irrigation_case,
     generate_msd_case,
@@ -34,6 +36,29 @@ class NaNOperator(NegatedOperator):
 
     def apply(self, x):
         return np.full_like(x, np.nan)
+
+
+class DiagonalOperator:
+    """SPD stub with a known spectrum: the given diagonal."""
+
+    def __init__(self, diag):
+        self.diag = np.asarray(diag, dtype=float)
+        self.dim = self.diag.size
+        self.matvec_flops = self.dim
+
+    def apply(self, x):
+        return self.diag * x
+
+
+class DiagonalPreconditioner:
+    """Stub preconditioner map r -> r / diag."""
+
+    def __init__(self, diag):
+        self.diag = np.asarray(diag, dtype=float)
+        self.apply_flops = self.diag.size
+
+    def apply(self, r):
+        return r / self.diag
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +189,54 @@ class TestReport:
         assert report.flops_per_step > op.matvec_flops
 
 
+class TestLanczosEstimate:
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_diagonal_spectrum(self, preconditioned):
+        # the preconditioned spectrum is the same known one
+        rng = np.random.default_rng(4)
+        spectrum = np.geomspace(0.5, 400.0, 30)
+        scale = rng.uniform(0.5, 2.0, 30) if preconditioned else np.ones(30)
+        op = DiagonalOperator(spectrum * scale)
+        precond = DiagonalPreconditioner(scale) if preconditioned else None
+        _, report = pcg_solve(op, precond, rng.uniform(0.5, 1.5, 30), tol=1e-10)
+        lo, hi = report.lanczos_extremes()
+        assert abs(lo - 0.5) < 1e-8 * 0.5 and abs(hi - 400.0) < 1e-8 * 400.0
+        assert report.kappa_estimate == hi / lo
+
+    def test_coefficient_counts(self, msd_setup):
+        _, stacked, op, precond, _ = msd_setup
+        _, report = pcg_solve(op, precond, stacked.offset, tol=1e-9)
+        assert len(report.alphas) == report.steps
+        assert len(report.betas) == report.steps - 1
+        with pytest.raises(MaxIterationsExceeded) as info:
+            pcg_solve(op, precond, stacked.offset, tol=1e-9, max_steps=3)
+        stopped = info.value.report
+        assert len(stopped.alphas) == len(stopped.betas) == 3
+        assert stopped.alphas == report.alphas[:3]
+
+    def test_bounds_dense_condition_numbers(self):
+        # Ritz values lie inside the spectrum: the estimates never exceed the
+        # dense values, and at convergence they are within 2% of them
+        for family in ("msd", "irrigation"):
+            for size in range(2, 7):
+                for seed in range(3):
+                    if family == "msd":
+                        p = generate_msd_case(size, size, size, seed)
+                    else:
+                        p = generate_irrigation_case(size, size, size, seed=seed)
+                    stacked = build_stacked(p)
+                    op = build_schur(stacked)
+                    precond = NestedJacobiPreconditioner(op, 2, 2)
+                    dense = condition_numbers(op, precond)
+                    _, plain = cg_solve(op, stacked.offset, tol=1e-9)
+                    _, pre = pcg_solve(op, precond, stacked.offset, tol=1e-9)
+                    for estimate, exact in ((plain.kappa_estimate, dense.kappa_delta),
+                                            (pre.kappa_estimate,
+                                             dense.kappa_preconditioned)):
+                        assert 0.98 * exact <= estimate <= exact * (1 + 1e-10), (
+                            family, size, seed, estimate, exact)
+
+
 class TestFailureModes:
     def test_breakdown_on_indefinite_operator(self):
         op = NegatedOperator(6)
@@ -182,6 +255,21 @@ class TestFailureModes:
         assert exc.iterations == 2
         assert exc.report is not None and not exc.report.converged
         assert exc.iterate is not None and exc.iterate.shape == (op.dim,)
+
+    def test_divergence_detected_early(self):
+        # finite, but Q = 1e300 I leaves a numerically singular operator on
+        # which the recurred residual blows up
+        p = generate_msd_case(2, 2, 2, seed=0)
+        for i in range(2):
+            for j in range(2):
+                p.sub(i, j).Q = [1e300 * np.eye(4)] * 3
+        stacked = build_stacked(p)
+        with pytest.raises(DivergenceError) as info:
+            cg_solve(build_schur(stacked), stacked.offset, tol=1e-9)
+        exc = info.value
+        assert exc.iterations <= 10
+        assert exc.report is not None and exc.report.steps == exc.iterations
+        assert exc.iterate is not None
 
     def test_rejects_bad_inputs(self, msd_setup):
         _, stacked, op, _, _ = msd_setup
