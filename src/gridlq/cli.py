@@ -6,10 +6,11 @@ and of the preconditioned one. They are Lanczos estimates from the step
 coefficients of conjugate gradient runs on the multiplier system, so they
 are lower bounds. The pcgm solve gives the preconditioned one itself, and
 one plain CG run on the same right-hand side gives the other; for the other
-solvers, each CG run the solve did not make is made once. With
-`--dense-conditioning` they come instead from the dense eigenproblems of
-`condition_numbers`, under `--max-dense-dim` only. The splitting radii
-always come from the dense per-stage eigenproblems, under that cap.
+solvers, each CG run the solve did not make is made once, outside the
+timing columns. A run that diverges or breaks down, as on a zero
+right-hand side, leaves its column blank. The dense values stay available
+from `recovery.condition_numbers`. The splitting radii come from the dense
+per-stage eigenproblems, under `--max-dense-dim` only.
 
 Exit codes: 0 success; 2 invalid problem or solver spec, including a
 problem whose reduced operator is not numerically positive definite;
@@ -46,7 +47,7 @@ from .kkt_assembly import DENSE_GUARD, build_schur, build_splitting, build_stack
 from .nested_jacobi import NestedJacobiPreconditioner
 from .pcg import cg_solve, pcg_solve
 from .recovery import (
-    condition_numbers,  # kept importable here: perfbench/spans.py traces it
+    condition_numbers,  # noqa: F401  kept importable here: perfbench/spans.py traces it
     dense_reference_solve,
     kkt_residual,
     recover_solution,
@@ -106,16 +107,19 @@ def _emit(records, args, stream):
         stream.write("\n")
 
 
-def _kappa_estimate(solve, *args, **kwargs):
-    """Lanczos condition number estimate from one CG run that converged or
-    stopped on its budget; None when it diverged."""
-    try:
-        _, report = solve(*args, **kwargs)
-    except DivergenceError:
-        return None
-    except MaxIterationsExceeded as exc:
-        report = exc.report
-    return report.kappa_estimate
+def _kappa_estimate(reports, name, solve, *args, **kwargs):
+    """Lanczos condition number estimate from the CG run ``reports[name]``,
+    made now with ``solve`` when the solve did not make it. None when that
+    run diverged or broke down: its coefficients estimate no spectrum."""
+    if name not in reports:
+        try:
+            _, reports[name] = solve(*args, **kwargs)
+        except (DivergenceError, BreakdownError):
+            reports[name] = None
+        except MaxIterationsExceeded as exc:
+            reports[name] = exc.report
+    report = reports[name]
+    return None if report is None else report.kappa_estimate
 
 
 def _solve_record(problem, label, args, diagnostics=True):
@@ -152,16 +156,19 @@ def _solve_record(problem, label, args, diagnostics=True):
     sol = None
     under_cap = diagnostics and lay.n_total <= args.max_dense_dim
     # an odd inner budget gives a map that is not SPD: no kappa columns
-    kappas = diagnostics and args.L % 2 == 0 and (under_cap or not args.dense_conditioning)
-    reports = {}  # solver name -> SolveReport of a pcgm ("pcgm") or plain ("cg") run
+    kappas = diagnostics and args.L % 2 == 0
+    # SolveReport of the pcgm ("pcgm") or plain ("cg") run, None if it diverged
+    reports = {}
     try:
-        if args.solver in ("pcgm", "nbjm") or under_cap or kappas:
+        if args.solver in ("pcgm", "nbjm") or kappas or under_cap:
             t0 = time.perf_counter()
             splitting = build_splitting(schur)
             precond = NestedJacobiPreconditioner(
                 schur, inner_sweeps=args.L, outer_sweeps=args.S, splitting=splitting
             )
-            factor_s = time.perf_counter() - t0
+            # cg and dense never apply it: only the diagnostics need it
+            if args.solver in ("pcgm", "nbjm"):
+                factor_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         if args.solver == "pcgm":
@@ -204,11 +211,10 @@ def _solve_record(problem, label, args, diagnostics=True):
     except MaxIterationsExceeded as exc:
         rec["steps"] = exc.iterations
         rec["converged"] = False
-        if isinstance(exc, DivergenceError):
-            # the coefficients of a diverged run estimate no spectrum
-            kappas = kappas and args.dense_conditioning
-        elif exc.report is not None:
-            reports[args.solver] = exc.report
+        if args.solver in ("pcgm", "cg"):
+            reports[args.solver] = (
+                None if isinstance(exc, DivergenceError) else exc.report
+            )
         if exc.report is not None:
             rec["final_residual"] = exc.report.final_residual
         if exc.iterate is not None:
@@ -234,19 +240,13 @@ def _solve_record(problem, label, args, diagnostics=True):
         rec["kkt_stationarity_u"] = ru
         rec["kkt_dynamics"] = rdyn
 
-    if kappas and args.dense_conditioning:
-        cond = condition_numbers(schur, precond, max_dim=args.max_dense_dim)
-        rec["kappa_delta"] = cond.kappa_delta
-        rec["kappa_preconditioned"] = cond.kappa_preconditioned
-    elif kappas:
+    if kappas:
         budget = {"tol": args.tol, "max_steps": args.max_steps}
-        rec["kappa_delta"] = (
-            reports["cg"].kappa_estimate if "cg" in reports
-            else _kappa_estimate(cg_solve, schur, stacked.offset, **budget)
+        rec["kappa_delta"] = _kappa_estimate(
+            reports, "cg", cg_solve, schur, stacked.offset, **budget
         )
-        rec["kappa_preconditioned"] = (
-            reports["pcgm"].kappa_estimate if "pcgm" in reports
-            else _kappa_estimate(pcg_solve, schur, precond, stacked.offset, **budget)
+        rec["kappa_preconditioned"] = _kappa_estimate(
+            reports, "pcgm", pcg_solve, schur, precond, stacked.offset, **budget
         )
     if under_cap:
         rho_inner, rho_outer = splitting_spectral_radii(
@@ -281,8 +281,7 @@ def _add_common(parser):
                              "runs on one thread and neither results nor speed "
                              "depend on it")
     parser.add_argument("--max-dense-dim", type=int, default=DENSE_GUARD,
-                        help="cap for dense solves, splitting radii and "
-                             "--dense-conditioning")
+                        help="cap for dense solves and splitting radii")
     parser.add_argument("--omit-timings", action="store_true",
                         help="blank the timing fields for reproducible reports")
 
@@ -301,10 +300,6 @@ def _parser():
                      default="pcgm")
     run.add_argument("--output", help="report file (stdout when omitted)")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
-    run.add_argument("--dense-conditioning", action="store_true",
-                     help="take the kappa columns from dense eigenproblems, "
-                          "under --max-dense-dim only, instead of Lanczos "
-                          "estimates at every size")
 
     cmp_cmd = sub.add_parser("compare", help="run two solvers on the same problem")
     _add_common(cmp_cmd)

@@ -73,16 +73,15 @@ class SolveReport:
         With alpha_k the step lengths and beta_k the direction-update
         ratios, the tridiagonal has diagonal 1/alpha_0 and
         1/alpha_k + beta_(k-1)/alpha_(k-1), and off-diagonal
-        sqrt(beta_k)/alpha_k. Its size is the step count.
+        sqrt(beta_k)/alpha_k. Its size is the step count, and the cost is
+        linear in it (``tridiagonal_extremes``).
         """
         a = np.asarray(self.alphas)
         b = np.asarray(self.betas[: a.size - 1])
         diag = 1.0 / a
         diag[1:] += b / a[:-1]
         off = np.sqrt(b) / a[:-1]
-        tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        evals = np.linalg.eigvalsh(tri)
-        return float(evals[0]), float(evals[-1])
+        return tridiagonal_extremes(diag, off)
 
     @property
     def kappa_estimate(self):
@@ -91,6 +90,54 @@ class SolveReport:
         converged."""
         lo, hi = self.lanczos_extremes()
         return hi / lo
+
+
+def tridiagonal_extremes(diag, off):
+    """(smallest, largest) eigenvalue of the symmetric tridiagonal with
+    diagonal ``diag`` and off-diagonal ``off``, to about 4 eps times its
+    norm.
+
+    Sturm-sequence multisection inside the Gershgorin interval: each pass
+    counts the eigenvalues below 63 shifts per extreme with one
+    LDL' pivot recurrence and keeps the pair of neighbouring shifts where
+    the count crosses. A pass costs O(k) time for k rows and nothing but
+    the shifts is stored, so a tridiagonal as wide as the operator stays
+    cheap.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    k = diag.size
+    radius = np.zeros(k)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    # row 0 brackets the smallest eigenvalue, row 1 the largest; a count of
+    # at least 1 (at least k) eigenvalues below a shift puts it above it
+    brackets = np.array([[lo, hi], [lo, hi]])
+    targets = (1, k)
+    sections = 63
+    fractions = np.arange(1, sections + 1) / (sections + 1)
+    # a pivot of exactly zero turns into an infinite one and back, never NaN
+    d = diag.tolist()
+    e2 = np.maximum(off * off, np.finfo(float).tiny).tolist()
+    with np.errstate(divide="ignore"):
+        while np.max(brackets[:, 1] - brackets[:, 0]) > tol:
+            shifts = brackets[:, :1] + (brackets[:, 1:] - brackets[:, :1]) * fractions
+            pivot = d[0] - shifts
+            below = (pivot < 0).astype(int)
+            for i in range(1, k):
+                pivot = (d[i] - shifts) - e2[i - 1] / pivot
+                below += pivot < 0
+            for j, target in enumerate(targets):
+                above = np.flatnonzero(below[j] >= target)
+                first = above[0] if above.size else sections
+                if first > 0:
+                    brackets[j, 0] = shifts[j, first - 1]
+                if first < sections:
+                    brackets[j, 1] = shifts[j, first]
+    smallest, largest = brackets.mean(axis=1)
+    return float(smallest), float(largest)
 
 
 def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,

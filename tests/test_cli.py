@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from gridlq import (
+    DivergenceError,
     NestedJacobiPreconditioner,
     build_schur,
     build_splitting,
     build_stacked,
     cg_solve,
     cli,
-    condition_numbers,
     generate_msd_case,
     kkt_assembly,
     pcg_solve,
@@ -222,18 +222,6 @@ class TestRun:
         assert rec["kappa_preconditioned"] == repr(pre.kappa_estimate)
         assert 1 < pre.kappa_estimate < plain.kappa_estimate
 
-    def test_dense_conditioning_writes_condition_numbers(self, capsys):
-        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
-                                 "--dense-conditioning")
-        assert code == 0, err
-        rec = parse_csv(out)[0]
-        schur = build_schur(build_stacked(generate_msd_case(3, 3, 3, 0)))
-        precond = NestedJacobiPreconditioner(
-            schur, 2, 2, splitting=build_splitting(schur))
-        cond = condition_numbers(schur, precond)
-        assert rec["kappa_delta"] == repr(cond.kappa_delta)
-        assert rec["kappa_preconditioned"] == repr(cond.kappa_preconditioned)
-
     def test_default_run_makes_no_dense_conditioning(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the default run needs no dense conditioning")
@@ -264,6 +252,46 @@ class TestRun:
             kappas[budget] = (rec["kappa_delta"], rec["kappa_preconditioned"])
         assert all(float(k) > 1 for k in kappas["2"])
         assert kappas["1"] == ("", "")
+
+    def test_diverged_nbjm_reports_kappas(self, capsys, monkeypatch):
+        # the extra CG runs estimate the spectrum whatever nbjm did
+        def diverge(self, rhs, tol=1e-9, max_outer=50000):
+            raise DivergenceError("nested Jacobi diverged", iterate=np.zeros_like(rhs),
+                                  iterations=3)
+
+        monkeypatch.setattr(NestedJacobiPreconditioner, "solve", diverge)
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                 "--solver", "nbjm", "--max-dense-dim", "50")
+        assert code == 3 and "diverged" in err
+        rec = parse_csv(out)[0]
+        assert rec["converged"] == "false"
+        assert float(rec["kappa_delta"]) > float(rec["kappa_preconditioned"]) > 1
+
+    @pytest.mark.parametrize("solver", ["dense", "nbjm"])
+    def test_zero_right_hand_side_leaves_kappas_blank(self, capsys, tmp_path, solver):
+        # zero initial states and no boundary signal: the multipliers are
+        # zero, and a CG run on a zero right-hand side has no Krylov space
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.boundary.init = [[np.zeros(4) for _ in range(2)] for _ in range(2)]
+        path = tmp_path / "zero.json"
+        save_problem(p, path)
+        code, out, err = run_cli(capsys, "run", "--problem-file", str(path),
+                                 "--solver", solver)
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        assert rec["converged"] == "true" and float(rec["objective"]) == 0.0
+        assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
+        assert rec["rho_outer_split"] != ""
+
+    @pytest.mark.parametrize("solver", ["cg", "dense"])
+    def test_unused_preconditioner_not_timed(self, capsys, solver):
+        # cg and dense build the preconditioner for the diagnostics only
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "2",
+                                 "--solver", solver)
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        assert rec["kappa_preconditioned"] != "" and rec["rho_outer_split"] != ""
+        assert float(rec["factor_s"]) == 0.0
 
     def test_divergence_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
@@ -385,15 +413,16 @@ class TestCompare:
 
         monkeypatch.undo()
         calls = []
-        for name in names:
-            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counted)
-        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3",
-                               "--dense-conditioning")
+        radii = cli.splitting_spectral_radii
+
+        def counted(*args, **kwargs):
+            calls.append("splitting_spectral_radii")
+            return radii(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "splitting_spectral_radii", counted)
+        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3")
         assert code == 0, err
-        assert sorted(calls) == sorted(names)
+        assert calls == ["splitting_spectral_radii"]
 
     def test_pcgm_vs_nbjm_steps(self, capsys):
         code, out, _ = run_cli(

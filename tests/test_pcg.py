@@ -16,6 +16,7 @@ from gridlq import (
     generate_msd_case,
     pcg_solve,
 )
+from gridlq.pcg import tridiagonal_extremes
 
 from conftest import make_uncoupled_problem
 
@@ -213,6 +214,35 @@ class TestLanczosEstimate:
         stopped = info.value.report
         assert len(stopped.alphas) == len(stopped.betas) == 3
         assert stopped.alphas == report.alphas[:3]
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 200])
+    def test_tridiagonal_extremes_match_eigvalsh(self, k):
+        rng = np.random.default_rng(k)
+        diag = rng.uniform(-3.0, 5.0, k)
+        off = rng.uniform(-2.0, 2.0, k - 1)
+        off[::5] = 0.0  # split blocks need no special case
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        evals = np.linalg.eigvalsh(dense)
+        lo, hi = tridiagonal_extremes(diag, off)
+        scale = np.max(np.abs(evals))
+        assert abs(lo - evals[0]) <= 1e-13 * scale
+        assert abs(hi - evals[-1]) <= 1e-13 * scale
+
+    def test_long_budget_stopped_run_needs_no_dense_eigenproblem(self, monkeypatch):
+        # 3,000 steps: a dense tridiagonal would be 72 MB and an O(k^3) solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimate needs no dense eigenproblem")
+
+        op = DiagonalOperator(np.geomspace(1.0, 1e8, 4000))
+        with pytest.raises(MaxIterationsExceeded) as info:
+            cg_solve(op, np.ones(4000), tol=1e-12, max_steps=3000)
+        report = info.value.report
+        assert len(report.alphas) == 3000
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        lo, hi = report.lanczos_extremes()
+        # the largest eigenvalue is resolved, the smallest only bounded
+        assert 1.0 <= lo < hi and abs(hi - 1e8) < 1e-8 * 1e8
 
     def test_bounds_dense_condition_numbers(self):
         # Ritz values lie inside the spectrum: the estimates never exceed the
