@@ -19,6 +19,7 @@ from .grid_problem import (
     GridLQProblem,
     GridLayout,
     SubsystemData,
+    TrajectorySolution,
     generate_irrigation_case,
     generate_msd_case,
     load_problem,
@@ -32,20 +33,17 @@ from .kkt_assembly import (
     build_schur,
     build_splitting,
     build_stacked,
-    reference_stage_block,
 )
 from .nested_jacobi import NestedJacobiPreconditioner
-from .pcg import SolveReport, cg_solve, pcg_solve
-from .recovery import (
+from .oracle import (
     ConditioningReport,
-    TrajectorySolution,
     condition_numbers,
     dense_reference_solve,
-    kkt_residual,
-    recover_solution,
+    reference_stage_block,
     simulate_states,
-    splitting_spectral_radii,
 )
+from .pcg import SolveReport, cg_solve, pcg_solve
+from .recovery import kkt_residual, recover_solution, splitting_spectral_radii
 
 __all__ = [
     "BlockTridiagCholesky",

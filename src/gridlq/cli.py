@@ -7,10 +7,10 @@ coefficients of conjugate gradient runs on the multiplier system, so they
 are lower bounds. The pcgm solve gives the preconditioned one itself, and
 one plain CG run on the same right-hand side gives the other; for the other
 solvers, each CG run the solve did not make is made once, outside the
-timing columns. A run that diverges or breaks down, as on a zero
-right-hand side, leaves its column blank. The dense values stay available
-from `recovery.condition_numbers`. The splitting radii come from the dense
-per-stage eigenproblems, under `--max-dense-dim` only.
+timing columns. A run that diverges, breaks down or takes no step, as on
+a zero right-hand side, leaves its column blank. The dense values stay
+available from `oracle.condition_numbers`. The splitting radii come from the
+dense per-stage eigenproblems, under `--max-dense-dim` only.
 
 Exit codes: 0 success; 2 invalid problem or solver spec, including a
 problem whose reduced operator is not numerically positive definite;
@@ -30,6 +30,7 @@ import time
 import numpy as np
 
 from .errors import (
+    DENSE_GUARD,
     BreakdownError,
     DimensionGuardError,
     DivergenceError,
@@ -43,16 +44,14 @@ from .grid_problem import (
     load_problem,
     validate,  # noqa: F401  kept importable here: perfbench/spans.py traces it
 )
-from .kkt_assembly import DENSE_GUARD, build_schur, build_splitting, build_stacked
+from .kkt_assembly import build_schur, build_splitting, build_stacked
 from .nested_jacobi import NestedJacobiPreconditioner
-from .pcg import cg_solve, pcg_solve
-from .recovery import (
+from .oracle import (
     condition_numbers,  # noqa: F401  kept importable here: perfbench/spans.py traces it
     dense_reference_solve,
-    kkt_residual,
-    recover_solution,
-    splitting_spectral_radii,
 )
+from .pcg import cg_solve, pcg_solve
+from .recovery import kkt_residual, recover_solution, splitting_spectral_radii
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -110,7 +109,8 @@ def _emit(records, args, stream):
 def _kappa_estimate(reports, name, solve, *args, **kwargs):
     """Lanczos condition number estimate from the CG run ``reports[name]``,
     made now with ``solve`` when the solve did not make it. None when that
-    run diverged or broke down: its coefficients estimate no spectrum."""
+    run diverged, broke down or took no step: its coefficients estimate no
+    spectrum."""
     if name not in reports:
         try:
             _, reports[name] = solve(*args, **kwargs)

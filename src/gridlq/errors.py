@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense dimension cap
+that raises one of them."""
+
+# cap on the dimension of every dense view, oracle and diagnostic: their
+# memory grows quadratically and their cost cubically
+DENSE_GUARD = 2000
 
 
 class GridLQError(Exception):
@@ -33,9 +38,19 @@ class DimensionGuardError(GridLQError):
     """A dense diagnostic was requested above its dimension cap."""
 
 
+def guard(dim, max_dim):
+    """Raise DimensionGuardError when a dense computation of dimension dim
+    exceeds the cap max_dim."""
+    if dim > max_dim:
+        raise DimensionGuardError(
+            f"dense computation of dimension {dim} exceeds cap {max_dim}"
+        )
+
+
 class BreakdownError(GridLQError):
-    """Conjugate gradient hit non-positive curvature; operator or
-    preconditioner is not positive definite."""
+    """Conjugate gradient hit non-positive curvature or preconditioned
+    residual product; operator or preconditioner is not positive definite,
+    or the product underflowed."""
 
 
 class MaxIterationsExceeded(GridLQError):

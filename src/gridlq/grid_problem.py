@@ -1,6 +1,7 @@
 """Problem definition for LQ optimal control of a K x N grid of coupled
-linear subsystems, plus generators for the two benchmark families and a
-JSON problem-file format.
+linear subsystems, the stacked index layout and the trajectory type solvers
+return, plus generators for the two benchmark families and a JSON
+problem-file format.
 
 Grid conventions: subsystem (i, j) sits in row i (0..K-1, "vertical") and
 column j (0..N-1, "horizontal"). Direction names follow the grid: the
@@ -135,6 +136,29 @@ class GridLayout:
     def col_x_slice(self, j):
         """Column j's slice inside one stage vector."""
         return slice(int(self.col_x_offset[j]), int(self.col_x_offset[j + 1]))
+
+
+@dataclass
+class TrajectorySolution:
+    """Recovered primal trajectory plus the multipliers it came from."""
+
+    layout: GridLayout
+    x_flat: np.ndarray
+    u_flat: np.ndarray
+    multipliers: np.ndarray
+    objective_value: float
+
+    def state(self, i, j):
+        """States of subsystem (i, j) as a (T+1, n) array."""
+        lay = self.layout
+        return np.stack(
+            [self.x_flat[lay.x_slice(i, j, t)] for t in range(lay.T + 1)]
+        )
+
+    def input(self, i, j):
+        """Inputs of subsystem (i, j) as a (T, m) array."""
+        lay = self.layout
+        return np.stack([self.u_flat[lay.u_slice(i, j, t)] for t in range(lay.T)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,23 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from .block_linalg import BlockTridiagCholesky, spd_inverse, transposed
-from .errors import DimensionGuardError, InvalidProblemError
+from .errors import DENSE_GUARD, InvalidProblemError, guard
 from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, validate
 from .stencil import Padding, Stencil, shifted
 
-# cap on the dimension of every dense view, oracle and diagnostic: their
-# memory grows quadratically and their cost cubically
-DENSE_GUARD = 2000
 CENTRE = (0, 0, 0)
-
-
-def guard(dim, max_dim):
-    """Raise DimensionGuardError when a dense computation of dimension dim
-    exceeds the cap max_dim."""
-    if dim > max_dim:
-        raise DimensionGuardError(
-            f"dense computation of dimension {dim} exceeds cap {max_dim}"
-        )
 
 
 class StackedSystem:
@@ -146,18 +134,18 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
 
 class _BlockView:
     """``view[t][(j, jc)].densify()`` is the dense block of the operator
-    coupling column jc of stage t into column j of stage t + ``shift``."""
+    coupling column jc into column j within stage t."""
 
-    def __init__(self, op, shift, key=()):
-        self.op, self.shift, self.key = op, shift, key
+    def __init__(self, op, key=()):
+        self.op, self.key = op, key
 
     def __getitem__(self, key):
-        return _BlockView(self.op, self.shift, self.key + (key,))
+        return _BlockView(self.op, self.key + (key,))
 
     def densify(self):
         t, (j, jc) = self.key
         lay = self.op.layout
-        dense = self.op.densify()[lay.stage_x_slice(t + self.shift), lay.stage_x_slice(t)]
+        dense = self.op.densify()[lay.stage_x_slice(t), lay.stage_x_slice(t)]
         return dense[lay.col_x_slice(j), lay.col_x_slice(jc)]
 
 
@@ -170,8 +158,8 @@ class SchurOperator:
     lower offsets (those whose source precedes the destination in the
     natural order) by mirroring, so the operator is exactly symmetric.
     ``diag`` holds the stage diagonals alone and ``outer`` the negated stage
-    couplings (the outer splitting's C). ``stage_diag[t][(j, jc)]`` and
-    ``stage_coupling[t][(j, jc)]`` are dense views of single column blocks.
+    couplings (the outer splitting's C). ``stage_diag[t][(j, jc)]`` is a
+    dense view of one column block of a stage diagonal.
     """
 
     def __init__(self, layout: GridLayout, lower: Stencil):
@@ -187,15 +175,11 @@ class SchurOperator:
         self.matvec_flops = self.stencil.flops
         self.outer_coupling_flops = self.outer.flops
 
-    # views are made on access: stored, they would form a reference cycle
+    # the view is made on access: stored, it would form a reference cycle
     # that keeps the operator's arrays alive until the cyclic collector runs
     @property
     def stage_diag(self):
-        return _BlockView(self, 0)
-
-    @property
-    def stage_coupling(self):
-        return _BlockView(self, 1)
+        return _BlockView(self)
 
     def apply(self, x):
         """Operator product with a vector (dim,) or stacked columns (dim, k)."""
@@ -319,95 +303,3 @@ class _PairFactor(BlockTridiagCholesky):
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:
     return PairSplitting(schur)
-
-
-# ---------------------------------------------------------------------------
-# closed-form cross-check of the stage-diagonal blocks
-
-
-def _dense_col_dyn(problem, lay, t, j):
-    """Dense column operators at stage t: within-column map, west map,
-    east map (None when the column has no such coupling)."""
-    K = problem.K
-    nb = lay.nbar[j]
-    a = np.zeros((nb, nb))
-    off = lay.sub_x_offset[j]
-    for i in range(K):
-        sub = problem.sub(i, j)
-        a[off[i] : off[i + 1], off[i] : off[i + 1]] = sub.A[t]
-        if i > 0 and sub.north is not None:
-            a[off[i] : off[i + 1], off[i - 1] : off[i]] = sub.north[t]
-        if i < K - 1 and sub.south is not None:
-            a[off[i] : off[i + 1], off[i + 1] : off[i + 2]] = sub.south[t]
-
-    def diag_dir(direction, jc):
-        if not (0 <= jc < problem.N):
-            return None
-        cols = lay.sub_x_offset[jc]
-        out = np.zeros((nb, lay.nbar[jc]))
-        seen = False
-        for i in range(K):
-            blocks = problem.sub(i, j).coupling(direction)
-            if blocks is None:
-                continue
-            seen = True
-            out[off[i] : off[i + 1], cols[i] : cols[i + 1]] = blocks[t]
-        return out if seen else None
-
-    return a, diag_dir("west", j - 1), diag_dir("east", j + 1)
-
-
-def reference_stage_block(problem: GridLQProblem, t, j, jc):
-    """Closed-form dense value of the stage-t diagonal's (j, jc) block,
-    built directly from per-column formulas.
-
-    Independent of the banded assembly path: column operators are formed
-    dense straight from the problem data and combined per the elimination
-    formulas (within-column, one-apart and two-apart cases), including the
-    cost-inverse and input block-diagonal terms on the main case. Only
-    stages t >= 1 carry dynamics data (at stage index t - 1).
-    """
-    if not 1 <= t <= problem.T:
-        raise ValueError("closed form applies to stages 1..T")
-    if not 0 <= j - jc <= 2:
-        raise ValueError("blocks exist for 0 <= j - jc <= 2")
-    lay = GridLayout(problem)
-    td = t - 1
-
-    def qinv_col(jq):
-        off = lay.sub_x_offset[jq]
-        out = np.zeros((lay.nbar[jq], lay.nbar[jq]))
-        for i in range(problem.K):
-            out[off[i] : off[i + 1], off[i] : off[i + 1]] = np.linalg.inv(
-                np.asarray(problem.sub(i, jq).Q[td], dtype=float)
-            )
-        return out
-
-    a_j, w_j, e_j = _dense_col_dyn(problem, lay, td, j)
-    if jc == j:
-        out = a_j @ qinv_col(j) @ a_j.T
-        if w_j is not None:
-            out = out + w_j @ qinv_col(j - 1) @ w_j.T
-        if e_j is not None:
-            out = out + e_j @ qinv_col(j + 1) @ e_j.T
-        off = lay.sub_x_offset[j]
-        for i in range(problem.K):
-            sub = problem.sub(i, j)
-            sl = slice(off[i], off[i + 1])
-            out[sl, sl] += np.linalg.inv(np.asarray(sub.Q[t], dtype=float))
-            b = np.asarray(sub.B[td], dtype=float)
-            out[sl, sl] += b @ np.linalg.inv(np.asarray(sub.R[td], dtype=float)) @ b.T
-        return out
-    if jc == j - 1:
-        a_c, _, e_c = _dense_col_dyn(problem, lay, td, jc)
-        out = np.zeros((lay.nbar[j], lay.nbar[jc]))
-        if w_j is not None:
-            out = out + w_j @ qinv_col(jc) @ a_c.T
-        if e_c is not None:
-            out = out + a_j @ qinv_col(j) @ e_c.T
-        return out
-    a_c, _, e_c = _dense_col_dyn(problem, lay, td, jc)
-    out = np.zeros((lay.nbar[j], lay.nbar[jc]))
-    if w_j is not None and e_c is not None:
-        out = out + w_j @ qinv_col(j - 1) @ e_c.T
-    return out

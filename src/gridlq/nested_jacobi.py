@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, MaxIterationsExceeded
-from .kkt_assembly import DENSE_GUARD, PairSplitting, SchurOperator, build_splitting, guard
+from .errors import DENSE_GUARD, DivergenceError, MaxIterationsExceeded, guard
+from .kkt_assembly import PairSplitting, SchurOperator, build_splitting
 
 # identity columns per apply in ``materialize``; bounds its work arrays
 MATERIALIZE_COLUMNS = 256

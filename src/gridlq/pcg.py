@@ -87,7 +87,9 @@ class SolveReport:
     def kappa_estimate(self):
         """Condition number estimate from ``lanczos_extremes``: up to
         rounding at most the true value, and close to it once the solve has
-        converged."""
+        converged; None when the solve took no step."""
+        if not self.alphas:
+            return None
         lo, hi = self.lanczos_extremes()
         return hi / lo
 
@@ -147,8 +149,10 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     preconditioner is any object with an ``apply(r)`` method and an
     ``apply_flops`` attribute, or None for plain conjugate gradient.
     Iterates from x0 (default zero) until the recurred residual infinity
-    norm drops below tol. Returns (solution, SolveReport); raises
-    BreakdownError on non-positive or NaN curvature, DivergenceError when
+    norm drops below tol; a starting residual already below tol returns x0
+    after no step, with that residual as the report's only history entry.
+    Returns (solution, SolveReport); raises BreakdownError on non-positive
+    or NaN curvature or preconditioned residual product, DivergenceError when
     the recurred residual turns non-finite or exceeds DIVERGENCE_FACTOR
     times its initial infinity norm, and MaxIterationsExceeded when the
     step budget runs out; the last two carry the last iterate and the
@@ -191,10 +195,11 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     mu = float(d @ r)
     counts["precondition_dot"] += n
 
-    history, alphas, betas = [], [], []
-    converged = diverged = False
+    # after the first preconditioner apply, so every solve makes one
+    converged, diverged = initial < tol, False
+    history, alphas, betas = [initial] if converged else [], [], []
     steps = 0
-    for _ in range(max_steps):
+    for _ in range(0 if converged else max_steps):
         y = schur.apply(d)
         counts["operator_apply"] += schur.matvec_flops
         curvature = float(y @ d)
@@ -229,6 +234,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
             q = r
         mu_next = float(q @ r)
         counts["precondition_dot"] += n
+        if not mu_next > 0.0:
+            raise BreakdownError(f"preconditioned residual product {mu_next:.3e} is not "
+                                 "positive: indefinite preconditioner or underflow")
         beta = mu_next / mu
         betas.append(beta)
         d = q + beta * d

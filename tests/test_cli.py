@@ -206,10 +206,19 @@ class TestRun:
         assert 0 < float(rec["rho_outer_split"]) < 1
 
     @pytest.mark.parametrize("solver", ["pcgm", "cg"])
-    def test_kappa_estimates_above_dense_cap(self, capsys, solver):
-        # 144 unknowns: the radii need the dense cap, the Lanczos kappas do not
-        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
-                                 "--solver", solver, "--max-dense-dim", "50")
+    def test_kappa_estimates_above_dense_cap(self, capsys, monkeypatch, solver):
+        # 144 unknowns: the radii need the dense cap, the Lanczos kappas do
+        # not, and above it the solve path makes no dense factorization,
+        # inverse, solve or eigenproblem
+        def refuse(*args, **kwargs):
+            raise AssertionError("no np.linalg call above the dense cap")
+
+        with monkeypatch.context() as patch:
+            for name in ("eigvalsh", "eigh", "eig", "eigvals", "cholesky", "inv",
+                         "solve", "svd"):
+                patch.setattr(np.linalg, name, refuse)
+            code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                     "--solver", solver, "--max-dense-dim", "50")
         assert code == 0, err
         rec = parse_csv(out)[0]
         assert rec["rho_inner_split"] == rec["rho_outer_split"] == ""
@@ -267,7 +276,7 @@ class TestRun:
         assert rec["converged"] == "false"
         assert float(rec["kappa_delta"]) > float(rec["kappa_preconditioned"]) > 1
 
-    @pytest.mark.parametrize("solver", ["dense", "nbjm"])
+    @pytest.mark.parametrize("solver", ["pcgm", "cg", "dense", "nbjm"])
     def test_zero_right_hand_side_leaves_kappas_blank(self, capsys, tmp_path, solver):
         # zero initial states and no boundary signal: the multipliers are
         # zero, and a CG run on a zero right-hand side has no Krylov space
@@ -280,6 +289,7 @@ class TestRun:
         assert code == 0, err
         rec = parse_csv(out)[0]
         assert rec["converged"] == "true" and float(rec["objective"]) == 0.0
+        assert float(rec["final_residual"]) == 0.0
         assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
         assert rec["rho_outer_split"] != ""
 

@@ -15,7 +15,7 @@ from gridlq import (
     generate_msd_case,
     reference_stage_block,
 )
-from gridlq.recovery import _dense_kkt
+from gridlq.oracle import _dense_kkt
 
 from conftest import (
     column_pairs,
@@ -111,7 +111,7 @@ class TestBuildSchur:
         assert np.allclose(op.stage_diag[0][(0, 0)].densify(), [[1 / q]], atol=1e-15)
         expect = 1 / q + a * a / q + b * b / r
         assert np.allclose(op.stage_diag[1][(0, 0)].densify(), [[expect]], atol=1e-15)
-        assert np.allclose(op.stage_coupling[0][(0, 0)].densify(), [[-a / q]], atol=1e-15)
+        assert np.allclose(op.densify()[1:, :1], [[-a / q]], atol=1e-15)
 
     def test_identity_operator(self):
         p = make_uncoupled_problem(K=1, N=2, T=2, n=2, m=1, a_scale=0.0)

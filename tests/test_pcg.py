@@ -184,6 +184,18 @@ class TestReport:
         assert report.op_counts["precondition_dot"] == s * n
         assert report.op_counts["direction_update"] == (s - 1) * n
 
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_zero_right_hand_side_takes_no_step(self, preconditioned):
+        op = DiagonalOperator(np.arange(1.0, 7.0))
+        precond = DiagonalPreconditioner(np.arange(1.0, 7.0)) if preconditioned else None
+        x, report = pcg_solve(op, precond, np.zeros(6), tol=1e-9)
+        assert report.converged and report.steps == 0
+        assert not x.any() and report.final_residual == 0.0
+        assert report.kappa_estimate is None
+        # the one preconditioner apply and its dot every solve makes
+        assert report.op_counts["precondition_dot"] == 6
+        assert report.op_counts["preconditioner_apply"] == (6 if preconditioned else 0)
+
     def test_flops_per_step(self, msd_setup):
         _, stacked, op, precond, _ = msd_setup
         _, report = pcg_solve(op, precond, stacked.offset, tol=1e-9)
@@ -285,6 +297,13 @@ class TestFailureModes:
         assert exc.iterations == 2
         assert exc.report is not None and not exc.report.converged
         assert exc.iterate is not None and exc.iterate.shape == (op.dim,)
+
+    def test_underflow_is_breakdown_not_convergence(self):
+        # tol far below what the squared residual can hold: its dot product
+        # underflows to zero while its infinity norm is still above tol
+        spectrum = np.concatenate(([0.5], np.linspace(1.0, 100.0, 3998), [400.0]))
+        with pytest.raises(BreakdownError, match="underflow"):
+            cg_solve(DiagonalOperator(spectrum), np.ones(4000), tol=1e-300)
 
     def test_divergence_detected_early(self):
         # finite, but Q = 1e300 I leaves a numerically singular operator on

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridlq import oracle
 from gridlq import (
     DimensionGuardError,
     NestedJacobiPreconditioner,
@@ -158,6 +161,24 @@ class TestConditionNumbers:
         precond = NestedJacobiPreconditioner(op, 2, 2)
         with pytest.raises(DimensionGuardError):
             condition_numbers(op, precond, max_dim=12)
+
+
+class TestOracleBoundary:
+    def test_oracle_imports_only_problem_data(self):
+        # the checks stay independent of what they check: no solver module
+        # (stencil, block_linalg, kkt_assembly, nested_jacobi, pcg, recovery)
+        imported = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                if node.module:
+                    imported.add(base)
+                else:
+                    imported.update(base + alias.name for alias in node.names)
+        assert imported <= {"__future__", "dataclasses", "numpy", ".errors",
+                            ".grid_problem"}, imported
 
 
 class TestSpectralRadius:
