@@ -1,21 +1,25 @@
 """Benchmark command line: generate or load a grid problem, solve it with a
 chosen method, and emit machine-readable reports.
 
-`run` reports two condition numbers at every size: of the reduced operator
-and of the preconditioned one. They are Lanczos estimates from the step
-coefficients of conjugate gradient runs on the multiplier system, so they
-are lower bounds. The pcgm solve gives the preconditioned one itself, and
-one plain CG run on the same right-hand side gives the other; for the other
-solvers, each CG run the solve did not make is made once, outside the
-timing columns. A run that diverges, breaks down or takes no step, as on
-a zero right-hand side, leaves its column blank. The dense values stay
-available from `oracle.condition_numbers`. The splitting radii come from the
-dense per-stage eigenproblems, under `--max-dense-dim` only.
+A `run` record's `final_residual` is the residual the CG recurrence last
+computed for pcgm and cg, also on a budget stop or divergence, and the true
+residual max|Delta lam - rhs| for nbjm and dense. `converged` is the CG
+report's flag for pcgm and cg, true residual < tol for nbjm, always true
+for dense, and false for any run stopped by its budget or by divergence.
 
-Exit codes: 0 success; 2 invalid problem or solver spec, including a
-problem whose reduced operator is not numerically positive definite;
-3 non-convergence or divergence; 4 dimension guard. Each failure prints
-one line to stderr.
+`run` also reports two condition numbers at every size, of the reduced
+operator and of the preconditioned one: Lanczos estimates, hence lower
+bounds, from the step coefficients of CG runs on the multiplier system.
+The pcgm and cg solves each give their own; every other run is made once,
+outside the timing columns. A run that diverges, breaks down or takes no
+step, as on a zero right-hand side, leaves its column blank. The dense
+values stay available from `oracle.condition_numbers`. The splitting radii
+come from the dense per-stage eigenproblems, under `--max-dense-dim` only.
+
+Exit codes: 0 success; 1 `compare` objectives differ by more than 1e-6
+relative; 2 invalid problem or solver spec, including a problem whose
+reduced operator is not numerically positive definite; 3 non-convergence
+or divergence; 4 dimension guard. Each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -78,9 +82,7 @@ def _build_problem(args, size):
         problem = load_problem(args.problem_file)
         return problem, "file"
     case = CASE_ALIASES[args.case]
-    k = args.K if args.K else size
-    n = args.N if args.N else size
-    t = args.T if args.T else size
+    k, n, t = (size if dim is None else dim for dim in (args.K, args.N, args.T))
     if case == "msd":
         return generate_msd_case(k, n, t, args.seed), case
     return generate_irrigation_case(k, n, t, seed=args.seed), case
@@ -102,41 +104,52 @@ def _emit(records, args, stream):
         for rec in records:
             stream.write(",".join(_fmt(rec.get(c)) for c in CSV_COLUMNS) + "\n")
     else:
-        json.dump({"records": records}, stream, indent=2)
+        ordered = [{c: rec[c] for c in CSV_COLUMNS if c in rec} for rec in records]
+        json.dump({"records": ordered}, stream, indent=2)
         stream.write("\n")
 
 
-def _kappa_estimate(reports, name, solve, *args, **kwargs):
-    """Lanczos condition number estimate from the CG run ``reports[name]``,
-    made now with ``solve`` when the solve did not make it. None when that
-    run diverged, broke down or took no step: its coefficients estimate no
-    spectrum."""
-    if name not in reports:
-        try:
-            _, reports[name] = solve(*args, **kwargs)
-        except (DivergenceError, BreakdownError):
-            reports[name] = None
-        except MaxIterationsExceeded as exc:
-            reports[name] = exc.report
-    report = reports[name]
-    return None if report is None else report.kappa_estimate
+def _cg_report(solve, *args, **budget):
+    """SolveReport of the CG run ``solve(*args, **budget)``, also on a budget
+    stop; None when it diverges or breaks down: no spectrum estimate then."""
+    try:
+        return solve(*args, **budget)[1]
+    except (DivergenceError, BreakdownError):
+        return None
+    except MaxIterationsExceeded as exc:
+        return exc.report
 
 
-def _solve_record(problem, label, args, diagnostics=True):
-    """Solve one problem and return (record, exit status). With
-    ``diagnostics`` false the conditioning and splitting-radius columns
-    stay blank."""
+def _solve(solver, problem, stacked, schur, precond, args):
+    """Run ``solver`` once and return (multipliers, or the dense oracle's
+    solution; the CG SolveReport or None; step count)."""
+    if solver == "pcgm":
+        lam, report = pcg_solve(schur, precond, stacked.offset, tol=args.tol,
+                                max_steps=args.max_steps)
+    elif solver == "cg":
+        lam, report = cg_solve(schur, stacked.offset, tol=args.tol, max_steps=args.max_steps)
+    elif solver == "nbjm":
+        lam, outers = precond.solve(stacked.offset, tol=args.tol, max_outer=args.max_outer)
+        return lam, None, outers
+    else:
+        return dense_reference_solve(problem, max_dim=args.max_dense_dim), None, 1
+    return lam, report, report.steps
+
+
+def _solve_record(problem, label, args, solver, diagnostics=True):
+    """Solve one problem with ``solver`` and return (record, exit status).
+    With ``diagnostics`` false the conditioning and splitting-radius
+    columns stay blank."""
     rec = {
         "case": label,
         "K": problem.K,
         "N": problem.N,
         "T": problem.T,
-        "solver": args.solver,
-        "L": args.L if args.solver in ("pcgm", "nbjm") else None,
-        "S": args.S if args.solver == "pcgm" else None,
+        "solver": solver,
+        "L": args.L if solver in ("pcgm", "nbjm") else None,
+        "S": args.S if solver == "pcgm" else None,
         "seed": args.seed,
     }
-    status = EXIT_OK
 
     t0 = time.perf_counter()
     try:
@@ -147,83 +160,31 @@ def _solve_record(problem, label, args, diagnostics=True):
         return rec, EXIT_INVALID
     schur = build_schur(stacked)
     assembly_s = time.perf_counter() - t0
-    lay = stacked.layout
-    rec["unknowns"] = lay.n_total
+    rec["unknowns"] = stacked.layout.n_total
 
-    splitting = None
-    precond = None
-    factor_s = 0.0
-    sol = None
-    under_cap = diagnostics and lay.n_total <= args.max_dense_dim
+    under_cap = diagnostics and rec["unknowns"] <= args.max_dense_dim
     # an odd inner budget gives a map that is not SPD: no kappa columns
     kappas = diagnostics and args.L % 2 == 0
-    # SolveReport of the pcgm ("pcgm") or plain ("cg") run, None if it diverged
-    reports = {}
+    applies = solver in ("pcgm", "nbjm")
+    splitting = precond = None
+    factor_s = 0.0
+    status, diverged = EXIT_OK, False
     try:
-        if args.solver in ("pcgm", "nbjm") or kappas or under_cap:
+        if applies or kappas or under_cap:
             t0 = time.perf_counter()
             splitting = build_splitting(schur)
             precond = NestedJacobiPreconditioner(
                 schur, inner_sweeps=args.L, outer_sweeps=args.S, splitting=splitting
             )
             # cg and dense never apply it: only the diagnostics need it
-            if args.solver in ("pcgm", "nbjm"):
+            if applies:
                 factor_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if args.solver == "pcgm":
-            lam, report = pcg_solve(
-                schur, precond, stacked.offset, tol=args.tol,
-                max_steps=args.max_steps,
-            )
-            reports["pcgm"] = report
-            rec["steps"] = report.steps
-            rec["converged"] = report.converged
-            rec["final_residual"] = report.final_residual
-            sol = recover_solution(stacked, lam)
-        elif args.solver == "cg":
-            lam, report = cg_solve(
-                schur, stacked.offset, tol=args.tol,
-                max_steps=args.max_steps,
-            )
-            reports["cg"] = report
-            rec["steps"] = report.steps
-            rec["converged"] = report.converged
-            rec["final_residual"] = report.final_residual
-            sol = recover_solution(stacked, lam)
-        elif args.solver == "nbjm":
-            lam, outers = precond.solve(
-                stacked.offset, tol=args.tol, max_outer=args.max_outer,
-            )
-            rec["steps"] = outers
-            rec["final_residual"] = float(
-                np.max(np.abs(schur.apply(lam) - stacked.offset))
-            )
-            rec["converged"] = rec["final_residual"] < args.tol
-            sol = recover_solution(stacked, lam)
-        elif args.solver == "dense":
-            sol = dense_reference_solve(problem, max_dim=args.max_dense_dim)
-            rec["steps"] = 1
-            rec["converged"] = True
-            rec["final_residual"] = float(
-                np.max(np.abs(schur.apply(sol.multipliers) - stacked.offset))
-            )
+        lam, report, steps = _solve(solver, problem, stacked, schur, precond, args)
     except MaxIterationsExceeded as exc:
-        rec["steps"] = exc.iterations
-        rec["converged"] = False
-        if args.solver in ("pcgm", "cg"):
-            reports[args.solver] = (
-                None if isinstance(exc, DivergenceError) else exc.report
-            )
-        if exc.report is not None:
-            rec["final_residual"] = exc.report.final_residual
-        if exc.iterate is not None:
-            if exc.report is None:
-                rec["final_residual"] = float(
-                    np.max(np.abs(schur.apply(exc.iterate) - stacked.offset))
-                )
-            sol = recover_solution(stacked, exc.iterate)
-        status = EXIT_NO_CONVERGENCE
+        lam, report, steps = exc.iterate, exc.report, exc.iterations
+        status, diverged = EXIT_NO_CONVERGENCE, isinstance(exc, DivergenceError)
         print(f"solver did not converge: {exc}", file=sys.stderr)
     except DimensionGuardError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
@@ -231,6 +192,19 @@ def _solve_record(problem, label, args, diagnostics=True):
     except (NotPositiveDefiniteError, BreakdownError) as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)
         return rec, EXIT_INVALID
+
+    sol, lam = (lam, lam.multipliers) if solver == "dense" else (None, lam)
+    rec["steps"] = steps
+    if report is not None:
+        rec["final_residual"] = report.final_residual
+    elif lam is not None:
+        rec["final_residual"] = float(np.max(np.abs(schur.apply(lam) - stacked.offset)))
+    rec["converged"] = status == EXIT_OK and (
+        report.converged if report is not None
+        else solver == "dense" or rec["final_residual"] < args.tol
+    )
+    if sol is None and lam is not None:
+        sol = recover_solution(stacked, lam)
     solve_s = time.perf_counter() - t0
 
     if sol is not None:
@@ -241,24 +215,20 @@ def _solve_record(problem, label, args, diagnostics=True):
         rec["kkt_dynamics"] = rdyn
 
     if kappas:
+        # a diverged run's coefficients estimate no spectrum
+        own = None if diverged else report
         budget = {"tol": args.tol, "max_steps": args.max_steps}
-        rec["kappa_delta"] = _kappa_estimate(
-            reports, "cg", cg_solve, schur, stacked.offset, **budget
-        )
-        rec["kappa_preconditioned"] = _kappa_estimate(
-            reports, "pcgm", pcg_solve, schur, precond, stacked.offset, **budget
-        )
+        rhs = stacked.offset
+        plain = own if solver == "cg" else _cg_report(cg_solve, schur, rhs, **budget)
+        rec["kappa_delta"] = None if plain is None else plain.kappa_estimate
+        pre = own if solver == "pcgm" else _cg_report(pcg_solve, schur, precond, rhs, **budget)
+        rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
     if under_cap:
-        rho_inner, rho_outer = splitting_spectral_radii(
-            schur, splitting, max_dim=args.max_dense_dim
-        )
-        rec["rho_inner_split"] = rho_inner
-        rec["rho_outer_split"] = rho_outer
+        rec["rho_inner_split"], rec["rho_outer_split"] = splitting_spectral_radii(
+            schur, splitting, max_dim=args.max_dense_dim)
 
     if not args.omit_timings:
-        rec["assembly_s"] = assembly_s
-        rec["factor_s"] = factor_s
-        rec["solve_s"] = solve_s
+        rec.update(assembly_s=assembly_s, factor_s=factor_s, solve_s=solve_s)
     return rec, status
 
 
@@ -316,10 +286,11 @@ def _sizes(args):
         if not sizes:
             raise ValueError("empty sweep list")
         return sizes
-    if args.size:
+    if args.size is not None:
         return [args.size]
-    if args.K or args.N or args.T:
-        if not (args.K and args.N and args.T):
+    dims = (args.K, args.N, args.T)
+    if dims != (None, None, None):
+        if None in dims:
             raise ValueError("provide all of --K --N --T, or --size")
         return [None]
     if args.problem_file:
@@ -349,7 +320,7 @@ def _run(args):
                 print(f"invalid problem: {exc}", file=sys.stderr)
                 status = EXIT_INVALID
                 break
-            rec, code = _solve_record(problem, label, args)
+            rec, code = _solve_record(problem, label, args, args.solver)
             records.append(rec)
             if code != EXIT_OK:
                 status = code
@@ -358,15 +329,7 @@ def _run(args):
     return status
 
 
-def _run_single(problem, label, args, solver):
-    sub_args = argparse.Namespace(**vars(args))
-    sub_args.solver = solver
-    # compare prints no conditioning column, so it skips the diagnostics
-    return _solve_record(problem, label, sub_args, diagnostics=False)
-
-
 def _compare(args):
-    args.sweep = None
     try:
         _sizes(args)
         problem, label = _build_problem(args, args.size)
@@ -376,8 +339,9 @@ def _compare(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    rec_a, code_a = _run_single(problem, label, args, args.solver_a)
-    rec_b, code_b = _run_single(problem, label, args, args.solver_b)
+    # compare prints no conditioning column, so it skips the diagnostics
+    rec_a, code_a = _solve_record(problem, label, args, args.solver_a, diagnostics=False)
+    rec_b, code_b = _solve_record(problem, label, args, args.solver_b, diagnostics=False)
 
     fields = ["solver", "steps", "converged", "final_residual", "objective",
               "kkt_dynamics", "solve_s"]
@@ -389,10 +353,7 @@ def _compare(args):
     if code_a or code_b:
         return code_a or code_b
 
-    obj_a, obj_b = rec_a.get("objective"), rec_b.get("objective")
-    if obj_a is None or obj_b is None:
-        print("comparison incomplete: missing objective", file=sys.stderr)
-        return 1
+    obj_a, obj_b = rec_a["objective"], rec_b["objective"]
     scale = max(abs(obj_a), abs(obj_b), 1e-30)
     if abs(obj_a - obj_b) > 1e-6 * scale:
         print(
@@ -416,6 +377,9 @@ def _spec_errors(args):
     solvers = (args.solver,) if args.command == "run" else (args.solver_a, args.solver_b)
     if "pcgm" in solvers and args.L % 2:
         errors.append(f"--L must be even for pcgm, got {args.L}")
+    sized = [f for f in ("size", "sweep", "K", "N", "T") if getattr(args, f, None) is not None]
+    if args.problem_file and sized:
+        errors.append("--problem-file takes no size flags, got --" + " --".join(sized))
     return errors
 
 

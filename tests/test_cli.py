@@ -7,12 +7,14 @@ import pytest
 
 from gridlq import (
     DivergenceError,
+    MaxIterationsExceeded,
     NestedJacobiPreconditioner,
     build_schur,
     build_splitting,
     build_stacked,
     cg_solve,
     cli,
+    dense_reference_solve,
     generate_msd_case,
     kkt_assembly,
     pcg_solve,
@@ -347,6 +349,72 @@ class TestRun:
         data = json.loads(target.read_text())
         assert data["records"][0]["converged"] is True
         assert np.isfinite(data["records"][0]["kappa_delta"])
+        assert list(data["records"][0]) == CSV_COLUMNS
+
+    @pytest.mark.parametrize("sizes", [
+        ["--size", "5"], ["--sweep", "2,3"], ["--K", "2", "--N", "2", "--T", "2"],
+    ])
+    def test_problem_file_excludes_size_flags(self, capsys, tmp_path, monkeypatch, sizes):
+        path = tmp_path / "p.json"
+        save_problem(generate_msd_case(2, 2, 2, seed=0), path)
+        calls = []
+        monkeypatch.setattr(cli, "load_problem", lambda f: calls.append(f))
+        code, out, err = run_cli(capsys, "run", "--problem-file", str(path), *sizes)
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: --problem-file") and err.count("\n") == 1
+        assert sizes[0] in err
+
+    @pytest.mark.parametrize("sizes", [
+        ["--size", "0"], ["--sweep", "0"], ["--K", "2", "--N", "2", "--T", "0"],
+    ])
+    def test_zero_size_reaches_validation(self, capsys, sizes):
+        code, _, err = run_cli(capsys, "run", "--case", "msd", *sizes)
+        assert code == 2 and err.count("\n") == 1
+        assert "grid dimensions must be positive" in err
+
+    @pytest.mark.parametrize("solver", ["pcgm", "cg", "nbjm", "dense"])
+    def test_record_rules_per_solver(self, capsys, solver):
+        # pcgm and cg report their CG run; nbjm and dense the true residual
+        problem = generate_msd_case(3, 3, 3, 0)
+        stacked = build_stacked(problem)
+        schur = build_schur(stacked)
+        precond = NestedJacobiPreconditioner(schur, 2, 2)
+
+        def true_residual(lam):
+            return float(np.max(np.abs(schur.apply(lam) - stacked.offset)))
+
+        def expected(budget):
+            if solver == "dense":
+                lam = dense_reference_solve(problem).multipliers
+                return 1, True, true_residual(lam)
+            try:
+                if solver == "nbjm":
+                    lam, outers = precond.solve(stacked.offset, tol=1e-9,
+                                                max_outer=budget or 50000)
+                    return outers, true_residual(lam) < 1e-9, true_residual(lam)
+                if solver == "pcgm":
+                    _, report = pcg_solve(schur, precond, stacked.offset, tol=1e-9,
+                                          max_steps=budget)
+                else:
+                    _, report = cg_solve(schur, stacked.offset, tol=1e-9, max_steps=budget)
+            except MaxIterationsExceeded as exc:
+                residual = (exc.report.final_residual if exc.report is not None
+                            else true_residual(exc.iterate))
+                return exc.iterations, False, residual
+            return report.steps, report.converged, report.final_residual
+
+        budgets = [None] if solver == "dense" else [None, 2]
+        flag = "--max-outer" if solver == "nbjm" else "--max-steps"
+        for budget in budgets:
+            extra = [] if budget is None else [flag, str(budget)]
+            code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "3",
+                                     "--solver", solver, *extra)
+            assert code == (0 if budget is None else 3), err
+            rec = parse_csv(out)[0]
+            steps, converged, residual = expected(budget)
+            assert rec["steps"] == str(steps)
+            assert rec["converged"] == ("true" if converged else "false")
+            assert rec["final_residual"] == repr(residual)
 
     def test_missing_size_is_invalid(self, capsys):
         code, _, err = run_cli(capsys, "run", "--case", "case1")
