@@ -132,7 +132,10 @@ class BlockTridiagCholesky:
             raise DimensionMismatchError(
                 f"right-hand side has shape {b.shape}, factor expects {dim} rows"
             )
-        work = b.reshape(self.shape + (-1,)).copy()
+        return self.sweep(b.reshape(self.shape + (-1,)).copy()).reshape(b.shape)
+
+    def sweep(self, work):
+        """Solve in place for right-hand sides ``work``, ``shape + (k,)``."""
         rows = self.shape[0]
         for r in range(rows):
             if r:
@@ -142,4 +145,4 @@ class BlockTridiagCholesky:
             if r + 1 < rows:
                 work[r] -= transposed(self.coupling[r + 1]) @ work[r + 1]
             work[r] = transposed(self.linv[r]) @ work[r]
-        return work.reshape(b.shape)
+        return work

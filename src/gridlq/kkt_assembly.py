@@ -45,11 +45,8 @@ class StackedSystem:
     """
 
     def __init__(self, layout, xpad, upad, constraint, b, q, r, offset):
-        self.layout = layout
-        self.xpad = xpad
-        self.upad = upad
-        self.constraint = constraint
-        self.constraint_t = constraint.transpose()
+        self.layout, self.xpad, self.upad = layout, xpad, upad
+        self.constraint, self.constraint_t = constraint, constraint.transpose()
         self.b = b
         self.q, self.qinv = q, spd_inverse(q)
         self.r, self.rinv = r, spd_inverse(r)
@@ -100,11 +97,11 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
     upad = Padding(lay.m, T)
     nb = xpad.block
 
-    constraint = {CENTRE: np.broadcast_to(-np.eye(nb), xpad.grid + (nb, nb)).copy()}
-    for field, (di, dj) in (("A", (0, 0)),) + tuple(NEIGHBOURS.items()):
-        blocks = np.zeros(xpad.grid + (nb, nb))
-        blocks[1:] = xpad.stack(problem, field, T, nb, toward=(di, dj))
-        constraint[(-1, dj, di)] = blocks
+    fields = {(-1, dj, di): {"field": field, "toward": (di, dj)}
+              for field, (di, dj) in (("A", (0, 0)),) + tuple(NEIGHBOURS.items())}
+    def constraint(o, _):
+        return -np.eye(nb) if o == CENTRE else xpad.stack(
+            problem, stages=T + 1, cols=nb, **fields[o])
 
     offset = np.zeros(xpad.shape)
     bnd = problem.boundary
@@ -120,7 +117,7 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
                 offset[1:, j, i, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
 
     return StackedSystem(
-        lay, xpad, upad, Stencil(constraint, xpad),
+        lay, xpad, upad, Stencil.filled([CENTRE, *fields], xpad, constraint),
         b=xpad.stack(problem, "B", T, upad.block),
         q=xpad.stack(problem, "Q", T + 1, nb, unit=True),
         r=upad.stack(problem, "R", T, upad.block, unit=True),
@@ -143,37 +140,30 @@ class _BlockView:
         return _BlockView(self.op, self.key + (key,))
 
     def densify(self):
-        t, (j, jc) = self.key
-        lay = self.op.layout
-        dense = self.op.densify()[lay.stage_x_slice(t), lay.stage_x_slice(t)]
-        return dense[lay.col_x_slice(j), lay.col_x_slice(jc)]
+        (t, (j, jc)), lay = self.key, self.op.layout
+        stage = self.op.densify()[lay.stage_x_slice(t), lay.stage_x_slice(t)]
+        return stage[lay.col_x_slice(j), lay.col_x_slice(jc)]
 
 
 class SchurOperator:
     """Matrix-free reduced multiplier operator: one stencil over padded
     (t, j, i).
 
-    Offsets (0, dj, di) form the stage diagonals, (-1, dj, di) couple stage
-    t - 1 into stage t and (1, dj, di) are their transposes. Built from the
-    lower offsets (those whose source precedes the destination in the
-    natural order) by mirroring, so the operator is exactly symmetric.
-    ``diag`` holds the stage diagonals alone and ``outer`` the negated stage
-    couplings (the outer splitting's C). ``stage_diag[t][(j, jc)]`` is a
-    dense view of one column block of a stage diagonal.
+    Offsets (0, dj, di) form the stage diagonals and come first,
+    (-1, dj, di) couple stage t - 1 into stage t and (1, dj, di) are their
+    transposes. ``diag`` views the stage diagonals' blocks and ``outer``
+    holds the negated stage couplings (the outer splitting's C).
+    ``stage_diag[t][(j, jc)]`` is a dense view of one column block of a
+    stage diagonal.
     """
 
-    def __init__(self, layout: GridLayout, lower: Stencil):
-        pad = lower.padding
-        strict = Stencil({o: w for o, w in lower.weights.items() if o != CENTRE}, pad)
-        weights = {**lower.weights, **strict.transpose().weights}
-        self.layout = layout
-        self.padding = pad
-        self.dim = layout.n_total
-        self.stencil = Stencil(weights, pad)
-        self.diag = Stencil({o: w for o, w in weights.items() if not o[0]}, pad)
-        self.outer = Stencil({o: -w for o, w in weights.items() if o[0]}, pad)
-        self.matvec_flops = self.stencil.flops
-        self.outer_coupling_flops = self.outer.flops
+    def __init__(self, layout: GridLayout, stencil: Stencil):
+        self.layout, self.stencil, self.dim = layout, stencil, layout.n_total
+        self.padding = pad = stencil.padding
+        cut = sum(1 for o in stencil.offsets if not o[0])
+        self.diag = Stencil(stencil.offsets[:cut], pad, stencil.fused[..., : cut * pad.block])
+        self.outer = Stencil(stencil.offsets[cut:], pad, -stencil.fused[..., cut * pad.block :])
+        self.matvec_flops, self.outer_coupling_flops = stencil.flops, self.outer.flops
 
     # the view is made on access: stored, it would form a reference cycle
     # that keeps the operator's arrays alive until the cyclic collector runs
@@ -202,22 +192,27 @@ def build_schur(stacked: StackedSystem) -> SchurOperator:
     """Assemble the reduced operator A Qinv A' + B Rinv B' as a stencil.
 
     The product of the constraint stencil with itself accumulates one
-    batched block product per pair of offsets (a, b) into offset a - b;
-    only the lower offsets are formed.
+    batched block product per pair of offsets (a, b) into offset a - b.
+    Only the lower offsets (source before destination in the natural order)
+    are formed; each upper offset mirrors one, so the operator is exactly
+    symmetric.
     """
     weights = stacked.constraint.weights
-    terms = {}
-    for a, wa in weights.items():
-        scaled = wa @ shifted(stacked.qinv, a)
-        for b, wb in weights.items():
-            o = tuple(x - y for x, y in zip(a, b))
-            if o <= CENTRE:
-                term = scaled @ transposed(shifted(wb, o))
-                terms[o] = terms[o] + term if o in terms else term
-    centre = terms[CENTRE]
-    centre[1:] += stacked.b @ stacked.rinv @ transposed(stacked.b)
-    terms[CENTRE] = 0.5 * (centre + transposed(centre))
-    return SchurOperator(stacked.layout, Stencil(terms, stacked.xpad))
+    terms = [(tuple(x - y for x, y in zip(a, b)), a, b) for a in weights for b in weights]
+    scaled = {a: wa @ shifted(stacked.qinv, a) for a, wa in weights.items()}
+
+    def blocks(o, done):
+        if o > CENTRE:
+            lower = done.get(tuple(-d for d in o))
+            return 0.0 if lower is None else transposed(shifted(lower, o))
+        total = sum(scaled[a] @ transposed(shifted(weights[b], o)) for d, a, b in terms if d == o)
+        if o == CENTRE:
+            total[1:] += stacked.b @ stacked.rinv @ transposed(stacked.b)
+            total = 0.5 * (total + transposed(total))
+        return total
+
+    offsets = sorted({d for d, _, _ in terms}, key=lambda o: (o[0] != 0, o))
+    return SchurOperator(stacked.layout, Stencil.filled(offsets, stacked.xpad, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +231,19 @@ class PairSplitting:
 
     def __init__(self, schur: SchurOperator):
         self.schur = schur
-        pad = schur.padding
-        cols = np.arange(pad.grid[1])
-        pair, inner = {}, {}
-        for o, w in schur.diag.weights.items():
-            cross = (cols // 2 != (cols + o[1]) // 2)[:, None, None, None]
-            pair[o] = np.where(cross, 0.0, w)
-            inner[o] = np.where(cross, -w, 0.0)
-        self.pair_diag = Stencil(pair, pad)
-        self.inner = Stencil(inner, pad)
+        diag, cols = schur.diag, np.arange(schur.padding.grid[1])
+        # offsets with dj = 0 never leave the pair
+        self.inner = Stencil.filled(
+            [o for o in diag.offsets if o[1]], diag.padding, lambda o, _: np.where(
+                (cols // 2 != (cols + o[1]) // 2)[:, None, None, None], -diag.weights[o], 0.0))
         self.inner_coupling_flops = self.inner.flops
+
+    @property
+    def pair_diag(self):
+        """The pair diagonals, made on access: only diagnostics read them."""
+        diag, inner = self.schur.diag, self.inner.weights
+        return Stencil.filled(diag.offsets, diag.padding,
+                              lambda o, _: diag.weights[o] + inner.get(o, 0.0))
 
     def apply_inner_coupling(self, x):
         """Negated inter-pair couplings of every stage diagonal."""
@@ -268,14 +266,13 @@ class PairSplitting:
         T1, Np, Kp, nb = pad.shape
         # [0] diagonal blocks, [1] blocks coupling row pair r to r - 1
         blocks = np.zeros((2, Kp // 2, T1, Np // 2, 2, 2, nb, 2, 2, nb))
-        for (_, dj, di), w in self.pair_diag.weights.items():
+        for (_, dj, di), w in self.schur.diag.weights.items():
             for c in range(max(0, -dj), min(2, 2 - dj)):
                 for a in (0, 1):
                     s, a2 = divmod(a + di, 2)
                     if s <= 0:
-                        blocks[-s][..., c, a, :, c + dj, a2, :] = (
-                            w[:, c::2, a::2].transpose(2, 0, 1, 3, 4)
-                        )
+                        blocks[-s][..., c, a, :, c + dj, a2, :] = w[:, c::2, a::2].transpose(
+                            2, 0, 1, 3, 4)
         blocks = blocks.reshape(2, Kp // 2, T1, Np // 2, 4 * nb, 4 * nb)
         return _PairFactor(blocks[0], blocks[1], pad)
 
@@ -284,8 +281,8 @@ class _PairFactor(BlockTridiagCholesky):
     """The batched pair factor on natural-layout operands.
 
     Its block rows run over row pairs, with batch axes (t, column pair) and
-    entries (column in pair, row in pair, entry), so ``solve`` pads its
-    operand and permutes it into that order and back.
+    entries (column in pair, row in pair, entry), so ``solve`` copies its
+    padded operand once into that order and solves it in place.
     """
 
     def __init__(self, diag, sub, padding):
@@ -296,9 +293,9 @@ class _PairFactor(BlockTridiagCholesky):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
         T1, Np, Kp, nb = self.padding.shape
         bp = self.padding.pad(b).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
-        y = super().solve(bp.transpose(3, 0, 1, 2, 4, 5, 6).reshape(self.padding.size, -1))
-        y = y.reshape(Kp // 2, T1, Np // 2, 2, 2, nb, -1).transpose(1, 2, 3, 0, 4, 5, 6)
-        return self.padding.unpad(y, np.ndim(b) == 1)
+        work = bp.transpose(3, 0, 1, 2, 4, 5, 6).copy()
+        self.sweep(work.reshape(self.shape + (-1,)))
+        return self.padding.unpad(work.transpose(1, 2, 3, 0, 4, 5, 6), np.ndim(b) == 1)
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:

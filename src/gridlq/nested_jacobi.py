@@ -20,7 +20,7 @@ from .errors import DENSE_GUARD, DivergenceError, MaxIterationsExceeded, guard
 from .kkt_assembly import PairSplitting, SchurOperator, build_splitting
 
 # identity columns per apply in ``materialize``; bounds its work arrays
-MATERIALIZE_COLUMNS = 256
+MATERIALIZE_COLUMNS = 64
 
 # key of the batched pair factor in ``NestedJacobiPreconditioner.factors``
 PAIRS = "pairs"

@@ -7,12 +7,14 @@ decoupled dummy rows and columns. Padded entries get unit cost weights and
 zero dynamics, inputs, couplings and offsets, so their multipliers are
 exactly zero and drop out at the boundary, where ``Padding`` converts
 between the natural layout of ``GridLayout`` and the padded one. Operators
-are ``Stencil`` objects: one dense array of blocks per (dt, dj, di) offset.
+are ``Stencil`` objects: the blocks of every (dt, dj, di) offset side by
+side in one fused array, applied in one batched product.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +64,10 @@ class Padding:
 
     def stack(self, problem, field, stages, cols, unit=False, toward=(0, 0)):
         """Per-subsystem matrix sequences ``field`` on the padded grid, shape
-        (stages, Np, Kp, block, cols). Padding is zero, or unit diagonal for
-        cost weights (``unit``). A coupling keeps only the blocks whose
-        neighbour in direction ``toward`` = (di, dj) lies on the grid; the
-        others act on boundary data."""
+        (stages, Np, Kp, block, cols), filling the last stages. Padding is
+        zero, or unit diagonal for cost weights (``unit``). A coupling keeps
+        only the blocks whose neighbour in direction ``toward`` = (di, dj)
+        lies on the grid; the others act on boundary data."""
         out = np.zeros((stages,) + self.grid[1:] + (self.block, cols))
         if unit:
             out[..., range(cols), range(cols)] = 1.0
@@ -76,7 +78,7 @@ class Padding:
                 if seq is None or not (0 <= i + toward[0] < K and 0 <= j + toward[1] < N):
                     continue
                 mats = np.asarray(seq, dtype=float)
-                out[:, j, i, : mats.shape[1], : mats.shape[2]] = mats
+                out[-len(mats) :, j, i, : mats.shape[1], : mats.shape[2]] = mats
         return out
 
     def pad(self, x):
@@ -98,75 +100,73 @@ class Padding:
         out = flat if self.is_reshape else flat[self.index]
         return out[:, 0] if vector else out
 
-    def natural_positions(self):
-        """Padded-shape array of natural indices, -1 at padded entries."""
-        out = np.full(self.size, -1, dtype=np.intp)
-        out[self.index] = np.arange(self.dim)
-        return out.reshape(self.shape)
-
 
 class Stencil:
     """Square block operator over a padded grid: ``out[p] += weights[o][p] @
     x[p + o]`` for every offset o = (dt, dj, di).
 
-    ``weights[o]`` has shape grid + (block, block) and is zero wherever p + o
-    falls off the grid. Offsets whose weights are all zero are dropped, and
-    an offset whose weights vanish on every column of one parity (as the
-    masked pair couplings do) runs over the other columns only. ``flops``
-    counts the scalar multiplies of one single-vector apply.
+    ``fused``, shape grid + (block, len(offsets) * block), holds the blocks
+    of all offsets side by side in ``offsets`` order; ``weights[o]`` views
+    offset o's, zero wherever p + o falls off the grid. An apply is one
+    ``take`` of every position's source blocks and one batched product with
+    ``fused``: ``flops`` = offsets x positions x block² multiplies.
     """
 
-    def __init__(self, weights, padding: Padding):
-        self.padding = padding
-        self.weights = {o: w for o, w in weights.items() if w.any()}
-        self.windows = {o: _columns(w, *window(o, padding.grid))
-                        for o, w in self.weights.items()}
-        self.flops = sum(w[self.windows[o][0]].size for o, w in self.weights.items())
+    def __init__(self, offsets, padding: Padding, fused):
+        self.padding, self.offsets, self.fused = padding, tuple(offsets), fused
+        nb = padding.block
+        self.weights = {o: fused[..., k * nb : (k + 1) * nb] for k, o in enumerate(self.offsets)}
+        self.flops = len(self.offsets) * math.prod(padding.grid) * nb * nb
+
+    @classmethod
+    def filled(cls, offsets, padding: Padding, blocks):
+        """Stencil with blocks ``blocks(o, weights)`` at offset o, given those
+        stored so far, each written into its slot as made; all-zero ones drop."""
+        nb = padding.block
+        # stored block-transposed, so that each slot is contiguous per position
+        fused = np.empty(padding.grid + (len(offsets) * nb, nb)).swapaxes(-1, -2)
+        weights = {}
+        for o in offsets:
+            value = np.asarray(blocks(o, weights))
+            if value.any():
+                weights[o] = fused[..., len(weights) * nb : (len(weights) + 1) * nb]
+                weights[o][...] = value
+        kept = fused[..., : len(weights) * nb].swapaxes(-1, -2)
+        return cls(weights, padding, np.ascontiguousarray(kept).swapaxes(-1, -2))
+
+    @cached_property
+    def gather(self):
+        """Flat position of every (position, offset) source, or one past the
+        last, a zero row, off the grid; made on first apply."""
+        grid = self.padding.grid
+        offsets = np.array(self.offsets, dtype=np.intp).reshape(-1, 3).T[:, None, :]
+        src = np.indices(grid).reshape(3, -1, 1) + offsets
+        inside = np.all((src >= 0) & (src < np.reshape(grid, (3, 1, 1))), axis=0)
+        return np.where(inside, np.ravel_multi_index(src, grid, mode="clip"), math.prod(grid))
 
     def apply(self, x):
         """Product with a natural-layout operand (dim,) or (dim, k)."""
         xp = self.padding.pad(x)
-        out = np.zeros(xp.shape)
-        for o, w in self.weights.items():
-            dst, src = self.windows[o]
-            out[dst] += w[dst] @ xp[src]
+        rows = xp.reshape(math.prod(xp.shape[:3]), -1)
+        rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))]).take(self.gather, axis=0)
+        out = self.fused @ rows.reshape(xp.shape[:3] + (-1, xp.shape[-1]))
         return self.padding.unpad(out, np.ndim(x) == 1)
 
     def transpose(self):
         """The transposed operator: offset -o carries the transposed blocks
         of offset o, moved to their destinations."""
-        weights = {}
-        for o, w in self.weights.items():
-            back = tuple(-d for d in o)
-            weights[back] = np.ascontiguousarray(shifted(w, back).swapaxes(-1, -2))
-        return Stencil(weights, self.padding)
+        back = {tuple(-d for d in o): o for o in self.offsets}
+        return Stencil.filled(back, self.padding,
+                              lambda o, _: shifted(self.weights[back[o]], o).swapaxes(-1, -2))
 
     def densify(self):
-        """Dense natural-layout matrix."""
-        nat = self.padding.natural_positions()
-        out = np.zeros((self.padding.dim, self.padding.dim))
+        """Dense natural-layout matrix; padded entries are left out."""
+        nat = np.full(self.padding.size, -1)
+        nat[self.padding.index] = np.arange(self.padding.dim)
+        nat, out = nat.reshape(self.padding.shape), np.zeros((self.padding.dim,) * 2)
         for o, w in self.weights.items():
-            dst, src = self.windows[o]
-            scatter_blocks(out, nat[dst], nat[src], w[dst])
+            dst, src = window(o, self.padding.grid)
+            rows, cols = np.broadcast_arrays(nat[dst][..., :, None], nat[src][..., None, :])
+            keep = (rows >= 0) & (cols >= 0)
+            out[rows[keep], cols[keep]] += w[dst][keep]
         return out
-
-
-def _columns(w, dst, src):
-    """The window narrowed to every other column when ``w`` vanishes on all
-    columns of one parity."""
-    for parity in (0, 1):
-        if not w[:, parity::2].any():
-            shift = (1 - parity - dst[1].start) % 2
-            dst = (dst[0], slice(dst[1].start + shift, dst[1].stop, 2), dst[2])
-            src = (src[0], slice(src[1].start + shift, src[1].stop, 2), src[2])
-            break
-    return dst, src
-
-
-def scatter_blocks(out, rows, cols, blocks):
-    """``out[rows[p], cols[p]] += blocks[p]`` for every block position p, from
-    natural row and column indices per block entry; padded (-1) ones are
-    skipped."""
-    rows, cols = np.broadcast_arrays(rows[..., :, None], cols[..., None, :])
-    keep = (rows >= 0) & (cols >= 0)
-    out[rows[keep], cols[keep]] += blocks[keep]

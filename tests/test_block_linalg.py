@@ -11,6 +11,7 @@ from gridlq import (
     build_splitting,
     build_stacked,
     dense_cholesky,
+    generate_irrigation_case,
     generate_msd_case,
 )
 from gridlq.block_linalg import lower_triangular_inverse, spd_inverse
@@ -48,6 +49,11 @@ def densify_tridiag(diag, sub):
     return out
 
 
+def stencil_of(weights, pad):
+    """Stencil with the given blocks per offset."""
+    return Stencil.filled(weights, pad, lambda o, _: weights[o])
+
+
 def random_stencil(rng, sizes, offsets, stages=2):
     """Stencil with random blocks at the given offsets, zero where the
     source falls off the padded grid."""
@@ -59,7 +65,7 @@ def random_stencil(rng, sizes, offsets, stages=2):
         dst, _ = window(o, pad.grid)
         w[dst] = rng.standard_normal(w[dst].shape)
         weights[o] = w
-    return Stencil(weights, pad)
+    return stencil_of(weights, pad)
 
 
 OFFSETS = [(0, 0, 0), (0, 1, 0), (0, -1, 1), (0, 0, -2), (1, 0, 0), (-1, 2, -1)]
@@ -127,7 +133,7 @@ class TestBlockBanded:
 
     def test_identity_blocks_matvec(self):
         pad = Padding([[2, 2]], 1)
-        op = Stencil({(0, 0, 0): np.broadcast_to(np.eye(2), pad.grid + (2, 2))}, pad)
+        op = stencil_of({(0, 0, 0): np.eye(2)}, pad)
         x = np.arange(4.0)
         assert np.array_equal(op.apply(x), x)
 
@@ -146,7 +152,7 @@ class TestBlockBanded:
         mirror = lower.transpose()
         assert set(mirror.weights) == {(0, 0, 1), (1, -1, 0)}
         assert np.array_equal(mirror.densify(), lower.densify().T)
-        both = Stencil({**lower.weights, **mirror.weights}, lower.padding)
+        both = stencil_of({**lower.weights, **mirror.weights}, lower.padding)
         dense = both.densify()
         assert np.array_equal(dense, dense.T)
         x = rng.standard_normal(both.padding.dim)
@@ -188,19 +194,103 @@ class TestBlockBanded:
             assert np.max(np.abs(factor.solve(phi @ x[:, 0]) - x[:, 0])) < 1e-10
             assert np.max(np.abs(factor.solve(phi @ x) - x)) < 1e-10
 
+    def test_pair_solve_equals_generic_solve_bitwise(self):
+        # reference: pad, permute into row-pair order, the generic factor
+        # solve, permute back; the pair factor's own layout work must not
+        # change a bit of that
+        rng = np.random.default_rng(20)
+        for dims in ((3, 3, 2), (4, 2, 1), (5, 4, 2)):
+            op = build_schur(build_stacked(generate_msd_case(*dims, seed=20)))
+            factor = build_splitting(op).factor()
+            T1, Np, Kp, nb = op.padding.shape
+            for x in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+                bp = op.padding.pad(x).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
+                rows = bp.transpose(3, 0, 1, 2, 4, 5, 6).reshape(op.padding.size, -1)
+                y = BlockTridiagCholesky.solve(factor, rows)
+                y = y.reshape(Kp // 2, T1, Np // 2, 2, 2, nb, -1).transpose(1, 2, 3, 0, 4, 5, 6)
+                assert np.array_equal(factor.solve(x), op.padding.unpad(y, x.ndim == 1))
+
     def test_matvec_flops_counts_blocks(self):
         pad = Padding([[2, 2], [2, 2]], 1)
         weights = {o: np.zeros(pad.grid + (2, 2)) for o in [(0, 0, 0), (0, 0, -1), (0, 0, 1)]}
         weights[(0, 0, 0)][:] = np.eye(2)
         weights[(0, 0, -1)][0, 0, 1] = 1.0
-        op = Stencil(weights, pad)
-        # four diagonal blocks and one block one row down (the odd column
-        # of that offset is all zero and skipped), one multiply per block
-        # entry; the all-zero offset is dropped
+        op = stencil_of(weights, pad)
+        # the fused kernel multiplies every block of both kept offsets at
+        # all four padded positions, one multiply per block entry; the
+        # all-zero offset is dropped
         assert set(op.weights) == {(0, 0, 0), (0, 0, -1)}
-        assert op.flops == 4 * 4 + 1 * 4
+        assert op.flops == 2 * 4 * 4
         x = np.arange(8.0)
         assert np.array_equal(op.apply(x), op.densify() @ x)
+
+
+class TestFusedStencil:
+    """The fused apply against the dense matrix of the same blocks."""
+
+    @pytest.mark.parametrize("sizes, stages", [
+        ([[3, 2, 1], [1, 3, 2], [2, 2, 3]], 2),   # odd K and N, mixed sizes
+        ([[2, 1, 2], [1, 2, 2]], 1),              # odd N, one stage
+        ([[1], [2], [3]], 3),                     # one column, odd K
+        ([[2, 2], [2, 2]], 1),                    # nothing padded
+    ])
+    @pytest.mark.parametrize("cols", [None, 1, 4])
+    def test_apply_matches_densify(self, sizes, stages, cols):
+        rng = np.random.default_rng(16)
+        op = random_stencil(rng, sizes, OFFSETS, stages)
+        dense = op.densify()
+        shape = (op.padding.dim,) if cols is None else (op.padding.dim, cols)
+        x = rng.standard_normal(shape)
+        out = op.apply(x)
+        assert out.shape == shape
+        scale = np.max(np.abs(dense) @ np.abs(x))
+        assert np.max(np.abs(out - dense @ x)) <= 1e-14 * scale
+        assert np.array_equal(op.transpose().densify(), dense.T)
+
+    def test_non_finite_entry_reaches_only_its_readers(self):
+        # off-grid sources read a zero row, never another entry, so a NaN
+        # operand entry spreads exactly as far as the blocks that read it
+        rng = np.random.default_rng(21)
+        op = random_stencil(rng, [[2, 1, 2], [1, 2, 2]], OFFSETS)
+        dense = op.densify()
+        for i in (0, 1, op.padding.dim - 1):
+            x = np.zeros(op.padding.dim)
+            x[i] = np.nan
+            assert np.array_equal(np.isnan(op.apply(x)), dense[:, i] != 0)
+
+    def test_no_offsets_gives_zeros(self):
+        pad = Padding([[2, 1], [1, 2]], 2)
+        op = stencil_of({(0, 1, 0): np.zeros(pad.grid + (2, 2))}, pad)
+        assert op.offsets == () and op.flops == 0
+        x = np.random.default_rng(17).standard_normal((pad.dim, 3))
+        assert np.array_equal(op.apply(x), np.zeros_like(x))
+        assert np.array_equal(op.apply(x[:, 0]), np.zeros(pad.dim))
+        assert np.array_equal(op.densify(), np.zeros((pad.dim, pad.dim)))
+
+    def test_inner_coupling_of_two_columns_is_empty(self):
+        # with two grid columns every stage-diagonal block lies within the
+        # one column pair, so the inter-pair couplings have no offsets
+        op = build_schur(build_stacked(generate_msd_case(3, 2, 2, seed=18)))
+        split = build_splitting(op)
+        assert split.inner.offsets == ()
+        x = np.random.default_rng(18).standard_normal(op.dim)
+        assert np.array_equal(split.apply_inner_coupling(x), np.zeros(op.dim))
+
+    def test_blocks_share_one_fused_array(self):
+        # the per-offset blocks are views, never a second copy: the memory
+        # budget of the operators depends on it
+        for problem in (generate_msd_case(4, 4, 3, seed=19),
+                        generate_irrigation_case(6, 4, 3, seed=19)):
+            op = build_schur(build_stacked(problem))
+            split = build_splitting(op)
+            for stencil in (op.stencil, op.outer, split.inner):
+                assert stencil.weights
+                for w in stencil.weights.values():
+                    assert np.shares_memory(w, stencil.fused)
+            assert op.diag.weights
+            for o, w in op.diag.weights.items():
+                assert np.shares_memory(w, op.stencil.fused)
+                assert np.array_equal(w, op.stencil.weights[o])
 
 
 class TestBlockTridiagCholesky:
