@@ -41,9 +41,10 @@ from .oracle import (
     dense_reference_solve,
     reference_stage_block,
     simulate_states,
+    splitting_spectral_radii,
 )
 from .pcg import SolveReport, cg_solve, pcg_solve
-from .recovery import kkt_residual, recover_solution, splitting_spectral_radii
+from .recovery import kkt_residual, recover_solution
 
 __all__ = [
     "BlockTridiagCholesky",

@@ -12,9 +12,10 @@ operator and of the preconditioned one: Lanczos estimates, hence lower
 bounds, from the step coefficients of CG runs on the multiplier system.
 The pcgm and cg solves each give their own; every other run is made once,
 outside the timing columns. A run that diverges, breaks down or takes no
-step, as on a zero right-hand side, leaves its column blank. The dense
-values stay available from `oracle.condition_numbers`. The splitting radii
-come from the dense per-stage eigenproblems, under `--max-dense-dim` only.
+step, as on a zero right-hand side, leaves its column blank; the outer
+splitting radius shares kappa_preconditioned's run and column rules, the
+inner one makes a short run of its own (`precond.splitting_radii`). The
+dense values stay in `oracle`; `--max-dense-dim` caps the dense solver.
 
 Exit codes: 0 success; 1 `compare` objectives differ by more than 1e-6
 relative; 2 invalid problem or solver spec, including a problem whose
@@ -53,9 +54,10 @@ from .nested_jacobi import NestedJacobiPreconditioner
 from .oracle import (
     condition_numbers,  # noqa: F401  kept importable here: perfbench/spans.py traces it
     dense_reference_solve,
+    splitting_spectral_radii,  # noqa: F401  likewise
 )
-from .pcg import cg_solve, pcg_solve
-from .recovery import kkt_residual, recover_solution, splitting_spectral_radii
+from .pcg import cg_solve, pcg_solve, spectrum_report
+from .recovery import kkt_residual, recover_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -109,17 +111,6 @@ def _emit(records, args, stream):
         stream.write("\n")
 
 
-def _cg_report(solve, *args, **budget):
-    """SolveReport of the CG run ``solve(*args, **budget)``, also on a budget
-    stop; None when it diverges or breaks down: no spectrum estimate then."""
-    try:
-        return solve(*args, **budget)[1]
-    except (DivergenceError, BreakdownError):
-        return None
-    except MaxIterationsExceeded as exc:
-        return exc.report
-
-
 def _solve(solver, problem, stacked, schur, precond, args):
     """Run ``solver`` once and return (multipliers, or the dense oracle's
     solution; the CG SolveReport or None; step count)."""
@@ -154,28 +145,26 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
     t0 = time.perf_counter()
     try:
         stacked = build_stacked(problem)
-    except InvalidProblemError as exc:
-        for msg in exc.messages:
+    except (InvalidProblemError, NotPositiveDefiniteError) as exc:
+        # validate factors the unpadded cost weights; padded, they can still fail
+        for msg in getattr(exc, "messages", [exc]):
             print(f"invalid problem: {msg}", file=sys.stderr)
         return rec, EXIT_INVALID
     schur = build_schur(stacked)
     assembly_s = time.perf_counter() - t0
     rec["unknowns"] = stacked.layout.n_total
 
-    under_cap = diagnostics and rec["unknowns"] <= args.max_dense_dim
     # an odd inner budget gives a map that is not SPD: no kappa columns
     kappas = diagnostics and args.L % 2 == 0
     applies = solver in ("pcgm", "nbjm")
-    splitting = precond = None
+    precond = None
     factor_s = 0.0
     status, diverged = EXIT_OK, False
     try:
-        if applies or kappas or under_cap:
+        if applies or diagnostics:
             t0 = time.perf_counter()
-            splitting = build_splitting(schur)
-            precond = NestedJacobiPreconditioner(
-                schur, inner_sweeps=args.L, outer_sweeps=args.S, splitting=splitting
-            )
+            precond = NestedJacobiPreconditioner(schur, inner_sweeps=args.L, outer_sweeps=args.S,
+                                                 splitting=build_splitting(schur))
             # cg and dense never apply it: only the diagnostics need it
             if applies:
                 factor_s = time.perf_counter() - t0
@@ -214,18 +203,17 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
         rec["kkt_stationarity_u"] = ru
         rec["kkt_dynamics"] = rdyn
 
+    pre = None
     if kappas:
         # a diverged run's coefficients estimate no spectrum
         own = None if diverged else report
-        budget = {"tol": args.tol, "max_steps": args.max_steps}
-        rhs = stacked.offset
-        plain = own if solver == "cg" else _cg_report(cg_solve, schur, rhs, **budget)
+        cg_args = {"rhs": stacked.offset, "tol": args.tol, "max_steps": args.max_steps}
+        plain = own if solver == "cg" else spectrum_report(cg_solve, schur, **cg_args)
         rec["kappa_delta"] = None if plain is None else plain.kappa_estimate
-        pre = own if solver == "pcgm" else _cg_report(pcg_solve, schur, precond, rhs, **budget)
+        pre = own if solver == "pcgm" else spectrum_report(pcg_solve, schur, precond, **cg_args)
         rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
-    if under_cap:
-        rec["rho_inner_split"], rec["rho_outer_split"] = splitting_spectral_radii(
-            schur, splitting, max_dim=args.max_dense_dim)
+    if diagnostics:
+        rec["rho_inner_split"], rec["rho_outer_split"] = precond.splitting_radii(pre)
 
     if not args.omit_timings:
         rec.update(assembly_s=assembly_s, factor_s=factor_s, solve_s=solve_s)
@@ -251,7 +239,7 @@ def _add_common(parser):
                              "runs on one thread and neither results nor speed "
                              "depend on it")
     parser.add_argument("--max-dense-dim", type=int, default=DENSE_GUARD,
-                        help="cap for dense solves and splitting radii")
+                        help="cap on the dense solver's dimension")
     parser.add_argument("--omit-timings", action="store_true",
                         help="blank the timing fields for reproducible reports")
 
@@ -372,6 +360,8 @@ def _spec_errors(args):
         value = getattr(args, name)
         if value is not None and value < 1:
             errors.append(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if args.seed < 0:
+        errors.append(f"--seed must be non-negative, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         errors.append(f"--tol must be finite and positive, got {args.tol!r}")
     solvers = (args.solver,) if args.command == "run" else (args.solver_a, args.solver_b)

@@ -13,14 +13,20 @@ operator with the inner sweep as its approximate inverse.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DENSE_GUARD, DivergenceError, MaxIterationsExceeded, guard
 from .kkt_assembly import PairSplitting, SchurOperator, build_splitting
+from .pcg import pcg_solve, spectrum_report
 
 # identity columns per apply in ``materialize``; bounds its work arrays
 MATERIALIZE_COLUMNS = 64
+
+# steps of the inner-radius Lanczos run: a residual stop would end it before
+# its Ritz values reach the extremes, so its tolerance only guards underflow
+RADIUS_STEPS = 30
 
 # key of the batched pair factor in ``NestedJacobiPreconditioner.factors``
 PAIRS = "pairs"
@@ -126,6 +132,29 @@ class NestedJacobiPreconditioner:
             iterate=lam,
             iterations=max_outer,
         )
+
+    def splitting_radii(self, report=None):
+        """(inner, outer) spectral radii of (pair diagonal)^-1 (inter-pair
+        couplings) and (stage diagonal)^-1 (stage couplings) from Lanczos
+        extremes; None where a run broke down, diverged or took no step.
+
+        Inner: RADIUS_STEPS PCG steps on the stage diagonal preconditioned by
+        the pair solve, a map equal to I minus the inner iteration matrix.
+        Outer: from ``report``, a PCG solve preconditioned by this map. With
+        exact inner solves that map has eigenvalues 1 - mu^S over the outer
+        iteration matrix's spectrum, symmetric as the stage coupling is
+        2-cyclic; with L inner sweeps the value is the contraction achieved.
+        """
+        rhs = np.random.default_rng(0).standard_normal(self.dim)
+        stage = spectrum_report(
+            pcg_solve, SchurOperator(self.schur.layout, self.schur.diag),
+            SimpleNamespace(apply=self.factors[PAIRS].solve), rhs,
+            tol=1e-100 * float(np.max(np.abs(rhs))), max_steps=RADIUS_STEPS)
+        inner = None if stage is None else max(abs(1.0 - x) for x in stage.lanczos_extremes())
+        outer = None
+        if report is not None and report.alphas:
+            outer = max(0.0, 1.0 - report.lanczos_extremes()[0]) ** (1.0 / self.outer_sweeps)
+        return inner, outer
 
     def materialize(self, max_dim=DENSE_GUARD):
         """Dense matrix of the preconditioner map, by applying it to the

@@ -1,7 +1,8 @@
 """Dense references and dense diagnostics, the checks the structured solver
 is verified against. Built dense straight from the problem data, they share
-only the ``GridLayout`` index map with the solver core, and are guarded by an
-overridable dimension cap since their cost and memory grow cubically.
+only the ``GridLayout`` index map with the solver core; the dense
+diagnostics take the core's operators and densify them. All are guarded by
+an overridable dimension cap since their cost and memory grow cubically.
 """
 
 from __future__ import annotations
@@ -251,3 +252,51 @@ def condition_numbers(schur, precond, max_dim=DENSE_GUARD) -> ConditioningReport
         lambda_min_preconditioned=plo,
         lambda_max_preconditioned=phi,
     )
+
+
+def _stage_blocks(stencil, layout, shift=0):
+    """Dense blocks of a stencil from stage t into stage t + shift, stacked
+    over every t with both stages on the grid; densified once."""
+    dense = stencil.densify()
+    return np.stack([dense[layout.stage_x_slice(t + shift), layout.stage_x_slice(t)]
+                     for t in range(layout.T + 1 - shift)])
+
+
+def splitting_spectral_radii(schur, splitting, max_dim=DENSE_GUARD):
+    """Spectral radii of the two stationary iteration matrices:
+    (pair-diagonal)^-1 (inter-pair couplings) and
+    (stage-diagonal)^-1 (stage couplings).
+
+    D^-1 C, with D SPD and C symmetric, is similar to L^-1 C L^-T with L
+    the Cholesky factor of D, whose spectrum is real. Both radii are taken
+    stage by stage, so no matrix of the full dimension (T+1)·nhat is
+    factored or eigen-decomposed:
+
+    - the pair diagonal and the inter-pair couplings never couple stages,
+      so the inner radius is the largest of T+1 symmetric eigenproblems of
+      size nhat;
+    - the stage couplings join stage t to t ± 1 only, so L^-1 C L^-T has a
+      zero block diagonal over a block tri-diagonal chain and is 2-cyclic:
+      its eigenvalues are ± the singular values of B, the blocks
+      L_s^-1 C_se L_e^-T from even stages e into odd stages s. The outer
+      radius is sqrt(λ_max(B B')), one eigenproblem of size
+      floor((T+1)/2)·nhat.
+
+    The check of ``NestedJacobiPreconditioner.splitting_radii``.
+    """
+    guard(schur.dim, max_dim)
+    lay = schur.layout
+    linv = np.linalg.inv(np.linalg.cholesky(_stage_blocks(splitting.pair_diag, lay)))
+    m = linv @ _stage_blocks(splitting.inner, lay) @ linv.swapaxes(-1, -2)
+    rho_inner = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2))))))
+
+    linv = np.linalg.inv(np.linalg.cholesky(_stage_blocks(schur.diag, lay)))
+    m = linv[1:] @ _stage_blocks(schur.outer, lay, shift=1) @ linv[:-1].swapaxes(-1, -2)
+    odd = (lay.T + 1) // 2
+    b = np.zeros((odd, lay.nhat, lay.T + 1 - odd, lay.nhat))
+    for t in range(lay.T):
+        # row: odd stage t or t + 1; column: the even one
+        b[t // 2, :, (t + 1) // 2] = m[t] if t % 2 == 0 else m[t].T
+    b = b.reshape(odd * lay.nhat, -1)
+    rho_outer = float(np.sqrt(np.linalg.eigvalsh(b @ b.T)[-1]))
+    return rho_inner, rho_outer

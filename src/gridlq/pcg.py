@@ -277,3 +277,14 @@ def cg_solve(schur, rhs, tol=1e-9, max_steps=None, x0=None, callback=None):
     """Unpreconditioned conjugate gradient baseline."""
     return pcg_solve(schur, None, rhs, tol=tol, max_steps=max_steps, x0=x0,
                      callback=callback)
+
+
+def spectrum_report(solve, *args, **kwargs):
+    """SolveReport of the CG run ``solve(*args, **kwargs)``, also on a budget
+    stop; None when it diverges or breaks down: no spectrum estimate then."""
+    try:
+        return solve(*args, **kwargs)[1]
+    except (DivergenceError, BreakdownError):
+        return None
+    except MaxIterationsExceeded as exc:
+        return exc.report

@@ -19,6 +19,7 @@ from gridlq import (
     kkt_assembly,
     pcg_solve,
     save_problem,
+    validate,
 )
 from gridlq.grid_problem import problem_to_dict
 from gridlq.cli import CSV_COLUMNS, main
@@ -182,7 +183,7 @@ class TestRun:
         ["--L", "0"], ["--S", "0"], ["--L", "1"], ["--tol", "0"],
         ["--tol", "nan"], ["--tol", "inf"], ["--max-steps", "0"],
         ["--max-outer", "0", "--solver", "nbjm"],
-        ["--L", "1", "--solver", "nbjm", "--S", "0"],
+        ["--L", "1", "--solver", "nbjm", "--S", "0"], ["--seed", "-1"],
     ])
     def test_bad_solver_spec_exit_code(self, capsys, spec):
         code, out, err = run_cli(capsys, "run", "--case", "case1", "--size", "2", *spec)
@@ -202,16 +203,17 @@ class TestRun:
         assert code == 0
         rec = parse_csv(out)[0]
         assert rec["converged"] == "true"
-        # the odd-budget map is not SPD: no kappa columns, radii still there
+        # the odd-budget map is not SPD: no kappa columns, and no outer
+        # radius, which comes from the preconditioned kappa's run
         assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
+        assert rec["rho_outer_split"] == ""
         assert 0 <= float(rec["rho_inner_split"]) < 1
-        assert 0 < float(rec["rho_outer_split"]) < 1
 
     @pytest.mark.parametrize("solver", ["pcgm", "cg"])
     def test_kappa_estimates_above_dense_cap(self, capsys, monkeypatch, solver):
-        # 144 unknowns: the radii need the dense cap, the Lanczos kappas do
-        # not, and above it the solve path makes no dense factorization,
-        # inverse, solve or eigenproblem
+        # 144 unknowns: the Lanczos kappas and radii need no dense cap, and
+        # above it the solve path makes no dense factorization, inverse,
+        # solve or eigenproblem
         def refuse(*args, **kwargs):
             raise AssertionError("no np.linalg call above the dense cap")
 
@@ -223,7 +225,6 @@ class TestRun:
                                      "--solver", solver, "--max-dense-dim", "50")
         assert code == 0, err
         rec = parse_csv(out)[0]
-        assert rec["rho_inner_split"] == rec["rho_outer_split"] == ""
         stacked = build_stacked(generate_msd_case(3, 3, 3, 0))
         schur = build_schur(stacked)
         precond = NestedJacobiPreconditioner(schur, 2, 2)
@@ -232,6 +233,9 @@ class TestRun:
         assert rec["kappa_delta"] == repr(plain.kappa_estimate)
         assert rec["kappa_preconditioned"] == repr(pre.kappa_estimate)
         assert 1 < pre.kappa_estimate < plain.kappa_estimate
+        inner, outer = precond.splitting_radii(pre)
+        assert (rec["rho_inner_split"], rec["rho_outer_split"]) == (repr(inner), repr(outer))
+        assert 0 < inner < outer < 1
 
     def test_default_run_makes_no_dense_conditioning(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -292,8 +296,9 @@ class TestRun:
         rec = parse_csv(out)[0]
         assert rec["converged"] == "true" and float(rec["objective"]) == 0.0
         assert float(rec["final_residual"]) == 0.0
-        assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
-        assert rec["rho_outer_split"] != ""
+        # the outer radius comes from the preconditioned kappa's run
+        assert rec["kappa_delta"] == rec["kappa_preconditioned"] == rec["rho_outer_split"] == ""
+        assert 0 <= float(rec["rho_inner_split"]) < 1
 
     @pytest.mark.parametrize("solver", ["cg", "dense"])
     def test_unused_preconditioner_not_timed(self, capsys, solver):
@@ -327,6 +332,29 @@ class TestRun:
                                "--solver", solver)
         assert code == 2
         assert err.startswith("invalid problem:") and err.count("\n") == 1
+
+    def test_padded_weights_not_positive_definite_exit_code(self, capsys, tmp_path):
+        # passes validate, which factors each Q as given; padded with unit
+        # entries, the factorization's pivot threshold rises above Q's 1e-20
+        p = generate_msd_case(2, 2, 2, seed=0)
+        sub = p.sub(0, 0)
+        sub.n, sub.m = 2, 1
+        sub.A = [a[:2, :2] for a in sub.A]
+        sub.B = [b[:2, :1] for b in sub.B]
+        sub.Q = [1e-20 * np.eye(2)] * 3
+        sub.R = [r[:1, :1] for r in sub.R]
+        sub.east = [c[:2] for c in sub.east]
+        sub.south = [c[:2] for c in sub.south]
+        p.sub(0, 1).west = [c[:, :2] for c in p.sub(0, 1).west]
+        p.sub(1, 0).north = [c[:, :2] for c in p.sub(1, 0).north]
+        p.boundary.init[0][0] = p.boundary.init[0][0][:2]
+        assert validate(p) == []
+        path = tmp_path / "tiny_q.json"
+        save_problem(p, path)
+        code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
+        assert code == 2
+        assert err.startswith("invalid problem:") and err.count("\n") == 1
+        assert "pivot" in err
 
     def test_problem_file_round_trip(self, capsys, tmp_path):
         p = generate_msd_case(2, 2, 2, seed=1)
@@ -478,29 +506,24 @@ class TestCompare:
         assert parts[1] == parts[2]
 
     def test_skips_unreported_diagnostics(self, capsys, monkeypatch):
-        names = ("condition_numbers", "splitting_spectral_radii")
-
         def refuse(*args, **kwargs):
             raise AssertionError("compare prints no diagnostic")
 
         # pcgm against dense makes no plain CG run unless for a kappa estimate
-        for name in names + ("cg_solve",):
+        for name in ("condition_numbers", "splitting_spectral_radii", "cg_solve"):
             monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(NestedJacobiPreconditioner, "splitting_radii", refuse)
         code, _, err = run_cli(capsys, "compare", "--case", "case1", "--size", "3")
         assert code == 0, err
 
+        # run fills the radii matrix-free, with no dense diagnostic either
         monkeypatch.undo()
-        calls = []
-        radii = cli.splitting_spectral_radii
-
-        def counted(*args, **kwargs):
-            calls.append("splitting_spectral_radii")
-            return radii(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "splitting_spectral_radii", counted)
-        code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "3")
+        for name in ("condition_numbers", "splitting_spectral_radii"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_cli(capsys, "run", "--case", "case1", "--size", "3")
         assert code == 0, err
-        assert calls == ["splitting_spectral_radii"]
+        rec = parse_csv(out)[0]
+        assert rec["rho_inner_split"] != "" and rec["rho_outer_split"] != ""
 
     def test_pcgm_vs_nbjm_steps(self, capsys):
         code, out, _ = run_cli(

@@ -12,6 +12,7 @@ from gridlq import (
     dense_reference_solve,
     generate_irrigation_case,
     generate_msd_case,
+    pcg_solve,
     splitting_spectral_radii,
 )
 
@@ -241,6 +242,24 @@ class TestSpectralStructure:
         got_inner, got_outer = splitting_spectral_radii(op, split)
         assert abs(got_inner - rho_inner) < 1e-10
         assert abs(got_outer - rho_outer) < 1e-10
+
+    @pytest.mark.parametrize("case", ["msd", "irrigation"])
+    def test_matrix_free_radii_match_dense(self, case):
+        # the radii `gridlq run` reports, from a solve at its default tol
+        for size in range(2, 8):
+            for seed in range(3):
+                p = (generate_msd_case(size, size, size, seed) if case == "msd"
+                     else generate_irrigation_case(size, size, size, seed=seed))
+                stacked = build_stacked(p)
+                op = build_schur(stacked)
+                precond = NestedJacobiPreconditioner(op, 2, 2)
+                _, report = pcg_solve(op, precond, stacked.offset, tol=1e-9)
+                inner, outer = precond.splitting_radii(report)
+                want_inner, want_outer = splitting_spectral_radii(op, precond.splitting)
+                assert abs(outer - want_outer) <= 1e-3 * want_outer, (size, seed)
+                # Ritz values lie inside the spectrum: never above the radius
+                assert want_inner - 1e-5 * want_inner - 1e-12 <= inner, (size, seed)
+                assert inner <= want_inner + 1e-12, (size, seed)
 
     @pytest.mark.parametrize("sweeps", [2, 4])
     def test_truncated_inverse_is_underestimate(self, sweeps, msd_ops):

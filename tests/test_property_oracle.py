@@ -4,8 +4,8 @@ structured path and checked against the dense oracle.
 The ranges cover heterogeneous state and input sizes per subsystem, odd K
 and N, T = 1, couplings present or absent per subsystem and direction,
 boundary trajectories on or off, and SPD cost weights that are not the
-identity. The splitting radii are checked against the dense iteration
-matrices on every instance. Hypothesis draws the shape and a seed; the
+identity. The splitting radii, dense and matrix-free, are checked against
+the dense iteration matrices on every instance. Hypothesis draws the shape and a seed; the
 seed draws the data.
 """
 
@@ -92,8 +92,9 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
     stacked = build_stacked(problem)
     schur = build_schur(stacked)
     precond = NestedJacobiPreconditioner(schur, inner_sweeps=2, outer_sweeps=2)
+    lam, report = pcg_solve(schur, precond, stacked.offset, tol=1e-11)
     solutions = {
-        "pcgm": pcg_solve(schur, precond, stacked.offset, tol=1e-11)[0],
+        "pcgm": lam,
         "cg": cg_solve(schur, stacked.offset, tol=1e-11)[0],
         "nbjm": precond.solve(stacked.offset, tol=1e-13)[0],
     }
@@ -117,3 +118,8 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
         assert abs(got - want) <= 1e-10
     if N <= 2:
         assert rho_inner == 0.0
+    # the matrix-free estimates; the outer one is exact only for exact inner
+    # solves, and L = 2 sweeps leave an error of order rho_inner^2
+    inner, outer = precond.splitting_radii(report)
+    assert abs(inner - rho_inner) <= 1e-8
+    assert abs(outer - rho_outer) <= rho_inner**2 + 1e-6
