@@ -145,10 +145,8 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
     t0 = time.perf_counter()
     try:
         stacked = build_stacked(problem)
-    except (InvalidProblemError, NotPositiveDefiniteError) as exc:
-        # validate factors the unpadded cost weights; padded, they can still fail
-        for msg in getattr(exc, "messages", [exc]):
-            print(f"invalid problem: {msg}", file=sys.stderr)
+    except InvalidProblemError as exc:
+        print("invalid problem: " + "; ".join(exc.messages), file=sys.stderr)
         return rec, EXIT_INVALID
     schur = build_schur(stacked)
     assembly_s = time.perf_counter() - t0

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_linalg import dense_cholesky, symmetry_defect
-from .errors import InvalidProblemError, NotPositiveDefiniteError
+from .block_linalg import dense_cholesky
+from .errors import DimensionMismatchError, InvalidProblemError, NotPositiveDefiniteError
+from .stencil import Padding
 
 # (row step, column step) from a subsystem to its neighbour in each direction
 NEIGHBOURS = {"west": (0, -1), "east": (0, 1), "north": (-1, 0), "south": (1, 0)}
@@ -167,48 +168,56 @@ class TrajectorySolution:
 
 def _checked(seq, count, shape, what, msgs):
     """``seq`` as one float array of ``count`` matrices of ``shape``, or None
-    after recording why it is not one: wrong stage count, wrong shapes or
-    non-finite entries."""
+    after recording why it is not one: a missing list, wrong stage count,
+    wrong shapes (then named one matrix at a time) or non-finite entries."""
+    if seq is None:
+        msgs.append(f"{what} is missing")
+        return None
     if len(seq) != count:
         msgs.append(f"{what} has {len(seq)} stages, expected {count}")
         return None
-    bad = [t for t, mat in enumerate(seq) if np.shape(mat) != shape]
-    for t in bad:
-        msgs.append(f"{what}[{t}] shape {np.shape(seq[t])}, expected {shape}")
-    if bad:
+    try:
+        mats = np.asarray(seq, dtype=float)
+    except (TypeError, ValueError):
+        mats = None
+    if mats is None or mats.shape != (count, *shape):
+        bad = [t for t, mat in enumerate(seq) if np.shape(mat) != shape]
+        for t in bad:
+            msgs.append(f"{what}[{t}] shape {np.shape(seq[t])}, expected {shape}")
+        if not bad:
+            msgs.append(f"{what} holds entries that are not numbers")
         return None
-    mats = np.asarray(seq, dtype=float)
     finite = np.isfinite(mats).reshape(count, -1).all(axis=1)
     for t in np.flatnonzero(~finite):
         msgs.append(f"{what}[{t}] has non-finite entries")
     return mats if finite.all() else None
 
 
-def _check_spd(mats, what, msgs):
-    """Record each matrix of the stack that is not symmetric positive
-    definite; one batched factorization when all of them are."""
-    if symmetry_defect(mats) <= 1e-12:
-        try:
-            dense_cholesky(mats)
-            return
-        except NotPositiveDefiniteError:
-            pass
-    for t, mat in enumerate(mats):
-        if symmetry_defect(mat) > 1e-12:
-            msgs.append(f"{what}[{t}]: not symmetric")
-            continue
-        try:
-            dense_cholesky(mat)
-        except NotPositiveDefiniteError:
-            msgs.append(f"{what}[{t}]: not positive definite")
+def _check_spd(problem, field, size, stages, msgs):
+    """Record each weight ``field`` that is not SPD as ``build_stacked``
+    factors it: unit-padded to the largest ``size``, in one batch with the
+    factorization's pivot threshold; only on failure is each real one named."""
+    pad = Padding([[getattr(sub, size) for sub in row] for row in problem.subsystems], stages)
+    stack = pad.stack(problem, field, stages, pad.block, unit=True)
+    try:
+        dense_cholesky(stack)
+    except (DimensionMismatchError, NotPositiveDefiniteError):
+        for i, j, t in np.ndindex(problem.K, problem.N, stages):
+            try:
+                dense_cholesky(stack[t, j, i])
+            except DimensionMismatchError:
+                msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not symmetric")
+            except NotPositiveDefiniteError:
+                msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not positive definite")
 
 
 def validate(problem: GridLQProblem) -> list:
     """Return a list of human-readable invariant violations; empty means valid.
 
-    Checks shapes and stage counts, finiteness of every number, symmetric
-    positive definite cost weights, and that off-grid couplings have
-    boundary data.
+    Checks shapes and stage counts, finiteness of every number, and that
+    off-grid couplings have boundary data; then, only once all of that
+    holds because stacking needs sound shapes, that the cost weights are
+    SPD as ``build_stacked`` factors them (``_check_spd``).
     """
     msgs = []
     K, N, T = problem.K, problem.N, problem.T
@@ -246,10 +255,8 @@ def validate(problem: GridLQProblem) -> list:
                 continue
             _checked(sub.A, T, (n, n), f"{tag}: A", msgs)
             _checked(sub.B, T, (n, m), f"{tag}: B", msgs)
-            for name, seq, count, size in (("Q", sub.Q, T + 1, n), ("R", sub.R, T, m)):
-                mats = _checked(seq, count, (size, size), f"{tag}: {name}", msgs)
-                if mats is not None:
-                    _check_spd(mats, f"{tag}: {name}", msgs)
+            _checked(sub.Q, T + 1, (n, n), f"{tag}: Q", msgs)
+            _checked(sub.R, T, (m, m), f"{tag}: R", msgs)
 
             for direction, (di, dj) in NEIGHBOURS.items():
                 blocks = sub.coupling(direction)
@@ -282,6 +289,9 @@ def validate(problem: GridLQProblem) -> list:
                 elif not np.isfinite(np.asarray(init[i][j], dtype=float)).all():
                     msgs.append(f"initial state ({i}, {j}) has non-finite entries")
 
+    if not msgs:
+        _check_spd(problem, "Q", "n", T + 1, msgs)
+        _check_spd(problem, "R", "m", T, msgs)
     return msgs
 
 

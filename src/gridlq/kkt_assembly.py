@@ -86,7 +86,7 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
     """Assemble the stacked operators and the offset vector.
 
     Raises InvalidProblemError, a ValueError, with the collected messages
-    when validate() fails.
+    when validate() fails, which factors the same padded Q and R stacks.
     """
     msgs = validate(problem)
     if msgs:

@@ -74,14 +74,16 @@ class SolveReport:
         ratios, the tridiagonal has diagonal 1/alpha_0 and
         1/alpha_k + beta_(k-1)/alpha_(k-1), and off-diagonal
         sqrt(beta_k)/alpha_k. Its size is the step count, and the cost is
-        linear in it (``tridiagonal_extremes``).
+        linear in it (``tridiagonal_extremes``), paid once per report.
         """
-        a = np.asarray(self.alphas)
-        b = np.asarray(self.betas[: a.size - 1])
-        diag = 1.0 / a
-        diag[1:] += b / a[:-1]
-        off = np.sqrt(b) / a[:-1]
-        return tridiagonal_extremes(diag, off)
+        if "_extremes" not in vars(self):
+            a = np.asarray(self.alphas)
+            b = np.asarray(self.betas[: a.size - 1])
+            diag = 1.0 / a
+            diag[1:] += b / a[:-1]
+            off = np.sqrt(b) / a[:-1]
+            self._extremes = tridiagonal_extremes(diag, off)
+        return self._extremes
 
     @property
     def kappa_estimate(self):

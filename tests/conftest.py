@@ -92,6 +92,25 @@ def make_boundary_problem(K=2, N=2, T=2):
     return GridLQProblem(K, N, T, subsystems, boundary)
 
 
+def make_padded_tiny_q_problem():
+    """msd 2x2x2 with subsystem (0, 0) shrunk to n = 2, m = 1 and
+    Q = 1e-20 I: SPD as given, but not once unit-padded to n = 4, where the
+    padding's unit diagonal lifts the relative pivot threshold to 1e-14."""
+    p = generate_msd_case(2, 2, 2, seed=0)
+    sub = p.sub(0, 0)
+    sub.n, sub.m = 2, 1
+    sub.A = [a[:2, :2] for a in sub.A]
+    sub.B = [b[:2, :1] for b in sub.B]
+    sub.Q = [1e-20 * np.eye(2)] * 3
+    sub.R = [r[:1, :1] for r in sub.R]
+    sub.east = [c[:2] for c in sub.east]
+    sub.south = [c[:2] for c in sub.south]
+    p.sub(0, 1).west = [c[:, :2] for c in p.sub(0, 1).west]
+    p.sub(1, 0).north = [c[:, :2] for c in p.sub(1, 0).north]
+    p.boundary.init[0][0] = p.boundary.init[0][0][:2]
+    return p
+
+
 def column_pairs(N):
     """The preconditioner's column pairs (j, j + 1), j even, over N grid
     columns; the last pair is a singleton when N is odd."""

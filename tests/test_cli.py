@@ -17,12 +17,15 @@ from gridlq import (
     dense_reference_solve,
     generate_msd_case,
     kkt_assembly,
+    pcg,
     pcg_solve,
     save_problem,
     validate,
 )
 from gridlq.grid_problem import problem_to_dict
 from gridlq.cli import CSV_COLUMNS, main
+
+from conftest import make_padded_tiny_q_problem
 
 
 def run_cli(capsys, *argv):
@@ -138,8 +141,11 @@ class TestRun:
             north_coupled(doc)
             doc["boundary"]["north"][1] = []
 
+        def null_matrices(doc):
+            doc["subsystems"][0][0]["A"] = None
+
         for corrupt in (missing_boundary, ragged_row, wrong_type, ragged_matrix,
-                        short_boundary, empty_trajectory):
+                        short_boundary, empty_trajectory, null_matrices):
             doc = problem_to_dict(generate_msd_case(2, 2, 2, seed=0))
             corrupt(doc)
             path = tmp_path / "bad.json"
@@ -172,6 +178,17 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--case", "case1", "--sweep", "2,3")
         assert code == 0
         assert len(calls) == 2
+
+    def test_lanczos_extremes_once_per_report(self, capsys, monkeypatch):
+        # the cg run, the pcgm solve (both its kappa and the outer radius)
+        # and the inner-radius run: three reports
+        calls = []
+        extremes = pcg.tridiagonal_extremes
+        monkeypatch.setattr(pcg, "tridiagonal_extremes",
+                            lambda d, o: calls.append(len(d)) or extremes(d, o))
+        code, _, err = run_cli(capsys, "run", "--case", "msd", "--size", "3")
+        assert code == 0, err
+        assert len(calls) == 3
 
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "run", "--case", "case1", "--size", "2",
@@ -334,27 +351,17 @@ class TestRun:
         assert err.startswith("invalid problem:") and err.count("\n") == 1
 
     def test_padded_weights_not_positive_definite_exit_code(self, capsys, tmp_path):
-        # passes validate, which factors each Q as given; padded with unit
-        # entries, the factorization's pivot threshold rises above Q's 1e-20
-        p = generate_msd_case(2, 2, 2, seed=0)
-        sub = p.sub(0, 0)
-        sub.n, sub.m = 2, 1
-        sub.A = [a[:2, :2] for a in sub.A]
-        sub.B = [b[:2, :1] for b in sub.B]
-        sub.Q = [1e-20 * np.eye(2)] * 3
-        sub.R = [r[:1, :1] for r in sub.R]
-        sub.east = [c[:2] for c in sub.east]
-        sub.south = [c[:2] for c in sub.south]
-        p.sub(0, 1).west = [c[:, :2] for c in p.sub(0, 1).west]
-        p.sub(1, 0).north = [c[:, :2] for c in p.sub(1, 0).north]
-        p.boundary.init[0][0] = p.boundary.init[0][0][:2]
-        assert validate(p) == []
+        # validate factors Q unit-padded, as build_stacked does, so it
+        # rejects the 1e-20 weight that passes unpadded
+        p = make_padded_tiny_q_problem()
+        msgs = validate(p)
+        assert msgs and all("(0, 0)" in m and "Q[" in m for m in msgs)
         path = tmp_path / "tiny_q.json"
         save_problem(p, path)
         code, _, err = run_cli(capsys, "run", "--problem-file", str(path))
         assert code == 2
         assert err.startswith("invalid problem:") and err.count("\n") == 1
-        assert "pivot" in err
+        assert "(0, 0)" in err
 
     def test_problem_file_round_trip(self, capsys, tmp_path):
         p = generate_msd_case(2, 2, 2, seed=1)

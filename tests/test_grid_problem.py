@@ -5,15 +5,17 @@ from gridlq import (
     GridLayout,
     GridLQError,
     InvalidProblemError,
+    build_stacked,
     generate_irrigation_case,
     generate_msd_case,
+    grid_problem,
     load_problem,
     save_problem,
     validate,
 )
 from gridlq.grid_problem import DIRECTIONS, EULER_STEP, problem_from_dict, problem_to_dict
 
-from conftest import make_boundary_problem, make_uncoupled_problem
+from conftest import make_boundary_problem, make_padded_tiny_q_problem, make_uncoupled_problem
 
 
 def coupled_directions(sub):
@@ -64,11 +66,50 @@ class TestValidate:
         assert validate(generate_msd_case(2, 2, 2, seed=0)) == []
         assert validate(generate_irrigation_case(2, 3, 2)) == []
 
-    def test_flags_indefinite_cost(self):
+    @pytest.mark.parametrize("case", ["indefinite_q", "indefinite_r", "asymmetric_q",
+                                      "deep_q", "padded_tiny_q"])
+    def test_flags_indefinite_cost(self, case):
         p = generate_msd_case(2, 2, 2, seed=0)
-        p.sub(1, 0).Q[1] = -np.eye(4)
-        msgs = validate(p)
-        assert any("(1, 0)" in m and "Q[1]" in m and "positive definite" in m for m in msgs)
+        if case == "indefinite_q":
+            p.sub(1, 0).Q[1] = -np.eye(4)
+            want = ["subsystem (1, 0): Q[1]: not positive definite"]
+        elif case == "indefinite_r":
+            p.sub(1, 0).R[1] = np.diag([1.0, -1.0])
+            want = ["subsystem (1, 0): R[1]: not positive definite"]
+        elif case == "asymmetric_q":
+            p.sub(0, 1).Q[2] = np.eye(4) + np.triu(np.ones((4, 4)), 1)
+            want = ["subsystem (0, 1): Q[2]: not symmetric"]
+        elif case == "deep_q":
+            # one bad weight among K * N * (T + 1) = 75
+            p = generate_msd_case(5, 3, 4, seed=0)
+            p.sub(3, 2).Q[3] = np.diag([1.0, 1.0, 0.0, 1.0])
+            want = ["subsystem (3, 2): Q[3]: not positive definite"]
+        else:
+            # SPD as given; build_stacked factors it unit-padded and fails
+            p = make_padded_tiny_q_problem()
+            want = [f"subsystem (0, 0): Q[{t}]: not positive definite" for t in range(3)]
+        assert validate(p) == want
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
+
+    def test_valid_problem_factors_two_batches(self, monkeypatch):
+        shapes = []
+        factor = grid_problem.dense_cholesky
+        monkeypatch.setattr(grid_problem, "dense_cholesky",
+                            lambda m: shapes.append(np.shape(m)) or factor(m))
+        assert validate(generate_msd_case(4, 4, 4, seed=0)) == []
+        assert shapes == [(5, 4, 4, 4, 4), (4, 4, 4, 2, 2)]
+
+    @pytest.mark.parametrize("field", ["A", "B", "Q", "R"])
+    def test_flags_missing_matrix_list(self, field):
+        p = generate_msd_case(2, 2, 2, seed=0)
+        setattr(p.sub(0, 1), field, None)
+        assert validate(p) == [f"subsystem (0, 1): {field} is missing"]
+
+    def test_flags_matrices_that_are_not_numbers(self):
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.sub(0, 1).A = [np.full((4, 4), "x")] * p.T
+        assert validate(p) == ["subsystem (0, 1): A holds entries that are not numbers"]
 
     def test_flags_coupling_dimension(self):
         p = generate_msd_case(2, 3, 2, seed=0)
