@@ -204,7 +204,7 @@ def _check_spd(problem, field, size, stages, msgs):
     except (DimensionMismatchError, NotPositiveDefiniteError):
         for i, j, t in np.ndindex(problem.K, problem.N, stages):
             try:
-                dense_cholesky(stack[t, j, i])
+                dense_cholesky(stack[(t, *pad.orient(j, i))])
             except DimensionMismatchError:
                 msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not symmetric")
             except NotPositiveDefiniteError:

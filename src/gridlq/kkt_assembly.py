@@ -6,12 +6,12 @@ multipliers. Its operator is block tri-diagonal across stages; every stage
 diagonal is a 13-offset stencil of small dense blocks over (column, row),
 and adjacent stages couple through a 5-offset stencil and its transpose.
 This module assembles that operator (``SchurOperator``) as one ``Stencil``
-over the padded (t, j, i) grid, plus the two-level splitting used by the
-nested Jacobi sweeps (``PairSplitting``): consecutive columns are grouped
-into pairs, whose paired diagonal blocks become SPD block tri-diagonal
-matrices after pairing rows, and the inter-pair couplings are applied on the
-fly. The pairing is private to the splitting: its factor solves
-natural-layout operands.
+over the padded grid, plus the two-level splitting used by the nested Jacobi
+sweeps (``PairSplitting``): consecutive lines along the longer grid axis are
+grouped into pairs, whose paired diagonal blocks become SPD block
+tri-diagonal matrices along the shorter axis, and the inter-pair couplings
+are applied on the fly. The pairing is private to the splitting: its factor
+solves natural-layout operands.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
 the primal recovery is ``x = -Qinv (A' lam)``, ``u = -Rinv (B' lam)``,
@@ -97,7 +97,7 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
     upad = Padding(lay.m, T)
     nb = xpad.block
 
-    fields = {(-1, dj, di): {"field": field, "toward": (di, dj)}
+    fields = {(-1, *xpad.orient(dj, di)): {"field": field, "toward": (di, dj)}
               for field, (di, dj) in (("A", (0, 0)),) + tuple(NEIGHBOURS.items())}
     def constraint(o, _):
         return -np.eye(nb) if o == CENTRE else xpad.stack(
@@ -107,14 +107,14 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
     bnd = problem.boundary
     for i in range(K):
         for j in range(N):
-            sub = problem.sub(i, j)
-            offset[0, j, i, : sub.n] = bnd.init[i][j]
+            sub, at = problem.sub(i, j), offset[(slice(None), *xpad.orient(j, i))]
+            at[0, : sub.n] = bnd.init[i][j]
             for direction, (di, dj) in NEIGHBOURS.items():
                 blocks, traj = sub.coupling(direction), getattr(bnd, direction)
                 if blocks is None or traj is None or (0 <= i + di < K and 0 <= j + dj < N):
                     continue
                 sig = np.asarray(traj[j if di else i], dtype=float)[..., None]
-                offset[1:, j, i, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
+                at[1:, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
 
     return StackedSystem(
         lay, xpad, upad, Stencil.filled([CENTRE, *fields], xpad, constraint),
@@ -146,11 +146,11 @@ class _BlockView:
 
 
 class SchurOperator:
-    """Matrix-free reduced multiplier operator: one stencil over padded
-    (t, j, i).
+    """Matrix-free reduced multiplier operator: one stencil over the padded
+    grid.
 
-    Offsets (0, dj, di) form the stage diagonals and come first,
-    (-1, dj, di) couple stage t - 1 into stage t and (1, dj, di) are their
+    Offsets (0, ., .) form the stage diagonals and come first,
+    (-1, ., .) couple stage t - 1 into stage t and (1, ., .) are their
     transposes. ``diag`` views the stage diagonals' blocks and ``outer``
     holds the negated stage couplings (the outer splitting's C).
     ``stage_diag[t][(j, jc)]`` is a dense view of one column block of a
@@ -193,7 +193,7 @@ def build_schur(stacked: StackedSystem) -> SchurOperator:
 
     The product of the constraint stencil with itself accumulates one
     batched block product per pair of offsets (a, b) into offset a - b.
-    Only the lower offsets (source before destination in the natural order)
+    Only the lower offsets (source before destination in the padded order)
     are formed; each upper offset mirrors one, so the operator is exactly
     symmetric.
     """
@@ -216,13 +216,13 @@ def build_schur(stacked: StackedSystem) -> SchurOperator:
 
 
 # ---------------------------------------------------------------------------
-# column-pair splitting of the stage diagonals
+# line-pair splitting of the stage diagonals
 
 
 class PairSplitting:
-    """Groups grid columns (j, j + 1), j even, into pairs and splits every
-    stage diagonal into its pair-diagonal part and the negated inter-pair
-    couplings (the inner splitting's C term), applied on the fly.
+    """Pairs lines p, p + 1 (p even) along the longer grid axis and splits
+    every stage diagonal into its pair-diagonal part and the negated
+    inter-pair couplings (the inner splitting's C term), applied on the fly.
 
     Both parts are masks of the stage-diagonal stencil, so the
     reconstruction ``pair-diagonal minus couplings = stage diagonal`` holds
@@ -231,11 +231,11 @@ class PairSplitting:
 
     def __init__(self, schur: SchurOperator):
         self.schur = schur
-        diag, cols = schur.diag, np.arange(schur.padding.grid[1])
-        # offsets with dj = 0 never leave the pair
+        diag, lines = schur.diag, np.arange(schur.padding.grid[1])
+        # offsets that stay on their line never leave the pair
         self.inner = Stencil.filled(
             [o for o in diag.offsets if o[1]], diag.padding, lambda o, _: np.where(
-                (cols // 2 != (cols + o[1]) // 2)[:, None, None, None], -diag.weights[o], 0.0))
+                (lines // 2 != (lines + o[1]) // 2)[:, None, None, None], -diag.weights[o], 0.0))
         self.inner_coupling_flops = self.inner.flops
 
     @property
@@ -259,30 +259,30 @@ class PairSplitting:
         block tri-diagonal factorization over all (pair, stage), solving
         natural-layout operands.
 
-        Block row r holds the 2 x 2 subsystems of rows 2r and 2r + 1 in the
-        pair's two columns, ordered as ``_PairFactor`` permutes operands.
+        Block row r holds the 2 x 2 subsystems at positions 2r, 2r + 1 of the
+        pair's two lines, ordered as ``_PairFactor`` permutes operands.
         """
         pad = self.schur.padding
-        T1, Np, Kp, nb = pad.shape
-        # [0] diagonal blocks, [1] blocks coupling row pair r to r - 1
-        blocks = np.zeros((2, Kp // 2, T1, Np // 2, 2, 2, nb, 2, 2, nb))
-        for (_, dj, di), w in self.schur.diag.weights.items():
-            for c in range(max(0, -dj), min(2, 2 - dj)):
+        stages, lines, depth, nb = pad.shape
+        # [0] diagonal blocks, [1] blocks coupling block row r to r - 1
+        blocks = np.zeros((2, depth // 2, stages, lines // 2, 2, 2, nb, 2, 2, nb))
+        for (_, dc, da), w in self.schur.diag.weights.items():
+            for c in range(max(0, -dc), min(2, 2 - dc)):
                 for a in (0, 1):
-                    s, a2 = divmod(a + di, 2)
+                    s, a2 = divmod(a + da, 2)
                     if s <= 0:
-                        blocks[-s][..., c, a, :, c + dj, a2, :] = w[:, c::2, a::2].transpose(
+                        blocks[-s][..., c, a, :, c + dc, a2, :] = w[:, c::2, a::2].transpose(
                             2, 0, 1, 3, 4)
-        blocks = blocks.reshape(2, Kp // 2, T1, Np // 2, 4 * nb, 4 * nb)
+        blocks = blocks.reshape(2, depth // 2, stages, lines // 2, 4 * nb, 4 * nb)
         return _PairFactor(blocks[0], blocks[1], pad)
 
 
 class _PairFactor(BlockTridiagCholesky):
     """The batched pair factor on natural-layout operands.
 
-    Its block rows run over row pairs, with batch axes (t, column pair) and
-    entries (column in pair, row in pair, entry), so ``solve`` copies its
-    padded operand once into that order and solves it in place.
+    Its block rows run over position pairs of the shorter grid axis, batch
+    axes (t, line pair), entries (line in pair, position in pair, entry): so
+    ``solve`` copies its padded operand once into that order, solving in place.
     """
 
     def __init__(self, diag, sub, padding):
@@ -291,8 +291,8 @@ class _PairFactor(BlockTridiagCholesky):
 
     def solve(self, b):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
-        T1, Np, Kp, nb = self.padding.shape
-        bp = self.padding.pad(b).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
+        stages, lines, depth, nb = self.padding.shape
+        bp = self.padding.pad(b).reshape(stages, lines // 2, 2, depth // 2, 2, nb, -1)
         work = bp.transpose(3, 0, 1, 2, 4, 5, 6).copy()
         self.sweep(work.reshape(self.shape + (-1,)))
         return self.padding.unpad(work.transpose(1, 2, 3, 0, 4, 5, 6), np.ndim(b) == 1)

@@ -1,9 +1,10 @@
 """Padded block-stencil representation shared by every structured operator.
 
 This module owns the padded layout. All stacked vectors live on a padded
-(t, j, i) grid of uniform blocks: the block size is the largest subsystem
-dimension (states and inputs each), and odd K and N are padded to even with
-decoupled dummy rows and columns. Padded entries get unit cost weights and
+(t, j, i) grid of uniform blocks, (t, i, j) when K > N so that the last grid
+axis is the shorter: the block size is the largest subsystem dimension
+(states and inputs each), and odd K and N are padded to even with decoupled
+dummy rows and columns. Padded entries get unit cost weights and
 zero dynamics, inputs, couplings and offsets, so their multipliers are
 exactly zero and drop out at the boundary, where ``Padding`` converts
 between the natural layout of ``GridLayout`` and the padded one. Operators
@@ -42,29 +43,38 @@ class Padding:
 
     The vector has ``stages`` stages of a K x N grid whose subsystem (i, j)
     holds ``sizes[i][j]`` entries, natural order (t, j, i, entry). The padded
-    array has axes (t, j, i, entry, column) with shape ``shape + (k,)``.
-    When nothing is padded the map is a reshape.
+    array has axes (t, j, i, entry, column), (t, i, j, ...) when K > N so that
+    the last grid axis is the shorter, with shape ``shape + (k,)``. When
+    nothing is padded and K <= N the map is a reshape.
     """
 
     def __init__(self, sizes, stages):
         self.sizes = sizes = np.asarray(sizes, dtype=np.intp)
         K, N = sizes.shape
         self.block = block = int(sizes.max())
-        self.grid = (stages, N + N % 2, K + K % 2)
+        self.grid = (stages, *self.orient(N + N % 2, K + K % 2))
         self.shape = self.grid + (block,)
         self.size = math.prod(self.shape)
+        at = np.arange(math.prod(self.grid[1:])).reshape(self.grid[1:])
         stage = np.concatenate([
-            (j * self.grid[2] + i) * block + np.arange(sizes[i, j])
+            at[self.orient(j, i)] * block + np.arange(sizes[i, j])
             for j in range(N) for i in range(K)
         ])
         stride = self.size // stages
         self.index = (np.arange(stages)[:, None] * stride + stage).ravel()
         self.dim = self.index.size
-        self.is_reshape = self.dim == self.size
+        self.is_reshape = self.dim == self.size and K <= N
+        # natural entry of every padded one; padding reads a zero row at dim
+        self.source = np.full(self.size, self.dim)
+        self.source[self.index] = np.arange(self.dim)
+
+    def orient(self, j, i):
+        """Grid axes (j, i), of a position or an offset (dj, di), in padded order."""
+        return (i, j) if self.sizes.shape[0] > self.sizes.shape[1] else (j, i)
 
     def stack(self, problem, field, stages, cols, unit=False, toward=(0, 0)):
         """Per-subsystem matrix sequences ``field`` on the padded grid, shape
-        (stages, Np, Kp, block, cols), filling the last stages. Padding is
+        (stages,) + grid[1:] + (block, cols), filling the last stages. Padding is
         zero, or unit diagonal for cost weights (``unit``). A coupling keeps
         only the blocks whose neighbour in direction ``toward`` = (di, dj)
         lies on the grid; the others act on boundary data."""
@@ -78,7 +88,8 @@ class Padding:
                 if seq is None or not (0 <= i + toward[0] < K and 0 <= j + toward[1] < N):
                     continue
                 mats = np.asarray(seq, dtype=float)
-                out[-len(mats) :, j, i, : mats.shape[1], : mats.shape[2]] = mats
+                a, b = self.orient(j, i)
+                out[-len(mats) :, a, b, : mats.shape[1], : mats.shape[2]] = mats
         return out
 
     def pad(self, x):
@@ -89,21 +100,19 @@ class Padding:
             )
         cols = x.reshape(self.dim, -1)
         if not self.is_reshape:
-            out = np.zeros((self.size, cols.shape[1]))
-            out[self.index] = cols
-            cols = out
+            cols = np.concatenate((cols, np.zeros((1, cols.shape[1])))).take(self.source, axis=0)
         return cols.reshape(self.shape + (-1,))
 
     def unpad(self, xp, vector):
         """Natural-layout result: (dim,) when ``vector``, else (dim, k)."""
         flat = xp.reshape(self.size, -1)
-        out = flat if self.is_reshape else flat[self.index]
+        out = flat if self.is_reshape else flat.take(self.index, axis=0)
         return out[:, 0] if vector else out
 
 
 class Stencil:
     """Square block operator over a padded grid: ``out[p] += weights[o][p] @
-    x[p + o]`` for every offset o = (dt, dj, di).
+    x[p + o]`` for every offset o, in padded axes (dt, dj, di) or (dt, di, dj).
 
     ``fused``, shape grid + (block, len(offsets) * block), holds the blocks
     of all offsets side by side in ``offsets`` order; ``weights[o]`` views
@@ -161,12 +170,11 @@ class Stencil:
 
     def densify(self):
         """Dense natural-layout matrix; padded entries are left out."""
-        nat = np.full(self.padding.size, -1)
-        nat[self.padding.index] = np.arange(self.padding.dim)
-        nat, out = nat.reshape(self.padding.shape), np.zeros((self.padding.dim,) * 2)
+        dim, nat = self.padding.dim, self.padding.source.reshape(self.padding.shape)
+        out = np.zeros((dim, dim))
         for o, w in self.weights.items():
             dst, src = window(o, self.padding.grid)
             rows, cols = np.broadcast_arrays(nat[dst][..., :, None], nat[src][..., None, :])
-            keep = (rows >= 0) & (cols >= 0)
+            keep = (rows < dim) & (cols < dim)
             out[rows[keep], cols[keep]] += w[dst][keep]
         return out

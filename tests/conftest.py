@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,9 +113,27 @@ def make_padded_tiny_q_problem():
     return p
 
 
+# each direction and the one it becomes when rows and columns swap
+TRANSPOSED = {"west": "north", "north": "west", "east": "south", "south": "east"}
+
+
+def transpose(problem):
+    """The same problem with rows and columns swapped: subsystem (i, j)
+    becomes (j, i), K and N swap, and west/north and east/south swap, in
+    the couplings and the boundary data alike."""
+    subs = [[replace(problem.sub(i, j), **{TRANSPOSED[d]: problem.sub(i, j).coupling(d)
+                                            for d in TRANSPOSED})
+             for i in range(problem.K)] for j in range(problem.N)]
+    bnd = problem.boundary
+    init = [[bnd.init[i][j] for i in range(problem.K)] for j in range(problem.N)]
+    edges = {TRANSPOSED[d]: getattr(bnd, d) for d in TRANSPOSED}
+    return GridLQProblem(problem.N, problem.K, problem.T, subs, BoundaryData(init=init, **edges))
+
+
 def column_pairs(N):
     """The preconditioner's column pairs (j, j + 1), j even, over N grid
-    columns; the last pair is a singleton when N is odd."""
+    columns; the last pair is a singleton when N is odd. This describes
+    K <= N grids: when K > N the rows are paired instead."""
     return [tuple(range(j, min(j + 2, N))) for j in range(0, N, 2)]
 
 

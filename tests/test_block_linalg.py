@@ -268,9 +268,10 @@ class TestFusedStencil:
         assert np.array_equal(op.densify(), np.zeros((pad.dim, pad.dim)))
 
     def test_inner_coupling_of_two_columns_is_empty(self):
-        # with two grid columns every stage-diagonal block lies within the
-        # one column pair, so the inter-pair couplings have no offsets
-        op = build_schur(build_stacked(generate_msd_case(3, 2, 2, seed=18)))
+        # with two grid columns and no more rows every stage-diagonal block
+        # lies within the one column pair, so the inter-pair couplings have
+        # no offsets (with K > N the rows pair instead)
+        op = build_schur(build_stacked(generate_msd_case(2, 2, 2, seed=18)))
         split = build_splitting(op)
         assert split.inner.offsets == ()
         x = np.random.default_rng(18).standard_normal(op.dim)

@@ -31,6 +31,18 @@ def dense_delta_oracle(problem):
     return a @ np.linalg.solve(q, a.T) + b @ np.linalg.solve(r, b.T)
 
 
+def stage_pairs(lay, t):
+    """Natural-layout indices of every subsystem pair of stage t: column
+    pairs when K <= N, row pairs when K > N."""
+    rows, cols = [range(lay.K)], column_pairs(lay.N)
+    if lay.K > lay.N:
+        rows, cols = column_pairs(lay.K), [range(lay.N)]
+    for r in rows:
+        for c in cols:
+            yield np.concatenate([np.arange(lay.x_slice(i, j, t).start, lay.x_slice(i, j, t).stop)
+                                  for j in c for i in r])
+
+
 def alternating_signs(block_sizes):
     """diag(+I, -I, +I, ...) over the given block sizes."""
     parts = [((-1.0) ** k) * np.ones(sz) for k, sz in enumerate(block_sizes)]
@@ -185,11 +197,12 @@ class TestApplyDelta:
 
 class TestSplitting:
     def test_single_pair_equals_stage_diag(self):
-        p = generate_irrigation_case(3, 1, 2)
+        p = generate_irrigation_case(2, 1, 2)
         op = build_schur(build_stacked(p))
         split = build_splitting(op)
-        # the factor's batch axes are (stage, column pair)
-        assert split.factor().shape[2] == len(column_pairs(p.N)) == 1
+        # the factor's batch axes are (stage, line pair): K > N pairs the
+        # rows, here both rows in one pair, coupled along the tridiagonal
+        assert split.factor().shape[2] == 1
         assert np.array_equal(
             split.densify_pair_diag(5000), op.densify_block_diag(5000)
         )
@@ -197,16 +210,15 @@ class TestSplitting:
         assert np.array_equal(split.apply_inner_coupling(x), np.zeros_like(x))
 
     def test_pair_grouping_shares_stage_values(self, msd_333_ops):
-        _, _, op = msd_333_ops
-        split = build_splitting(op)
-        phi = split.densify_pair_diag(5000)
-        psi = op.densify_block_diag(5000)
-        lay = op.layout
-        for t in range(lay.T + 1):
-            for cols in column_pairs(lay.N):
-                pair = slice(lay.col_x_offset[cols[0]], lay.col_x_offset[cols[-1] + 1])
-                g = np.arange(op.dim)[lay.stage_x_slice(t)][pair]
-                assert np.array_equal(phi[np.ix_(g, g)], psi[np.ix_(g, g)])
+        # column pairs on 3x3, row pairs on 5x2
+        for op in (msd_333_ops[2], build_schur(build_stacked(generate_msd_case(5, 2, 2, seed=1)))):
+            split = build_splitting(op)
+            phi = split.densify_pair_diag(5000)
+            psi = op.densify_block_diag(5000)
+            lay = op.layout
+            for t in range(lay.T + 1):
+                for g in stage_pairs(lay, t):
+                    assert np.array_equal(phi[np.ix_(g, g)], psi[np.ix_(g, g)])
 
     def test_inner_coupling_matches_dense(self, msd_333_ops):
         _, _, op = msd_333_ops
@@ -255,15 +267,16 @@ class TestSplitting:
         assert not phi[last, first].any() and psi[last, first].any()
 
     def test_factors_exist_for_all_pairs(self, msd_333_ops):
-        _, _, op = msd_333_ops
-        split = build_splitting(op)
-        factor = split.factor()
-        # one batch entry per (row pair, stage, pair); K = 3 pads to 4 rows
-        lay = op.layout
-        assert factor.shape[:3] == (2, lay.T + 1, len(column_pairs(lay.N)))
-        lam = factor.solve(np.ones(op.dim))
-        assert lam.shape == (op.dim,)
-        assert np.all(np.isfinite(lam))
+        for op in (msd_333_ops[2], build_schur(build_stacked(generate_msd_case(5, 2, 2, seed=1)))):
+            factor = build_splitting(op).factor()
+            # one batch entry per (block row, stage, pair): the pairs run along
+            # the longer axis, the block rows along the shorter; odd sizes pad
+            lay = op.layout
+            short, long = sorted((lay.K, lay.N))
+            assert factor.shape[:3] == (len(column_pairs(short)), lay.T + 1, len(column_pairs(long)))
+            lam = factor.solve(np.ones(op.dim))
+            assert lam.shape == (op.dim,)
+            assert np.all(np.isfinite(lam))
 
 
 class TestSignSimilarity:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gridlq import (
     build_schur,
     build_splitting,
     build_stacked,
+    cg_solve,
     dense_reference_solve,
     generate_irrigation_case,
     generate_msd_case,
@@ -16,7 +19,10 @@ from gridlq import (
     splitting_spectral_radii,
 )
 
-from conftest import column_pairs, make_uncoupled_problem
+from gridlq.nested_jacobi import PAIRS
+
+from conftest import column_pairs, make_uncoupled_problem, transpose
+from test_property_oracle import random_problem
 
 
 def dense_parts(op, split):
@@ -202,7 +208,7 @@ class TestStandaloneSolve:
 
 class TestInnerSweep:
     def test_uncoupled_pairs_independent_of_budget(self):
-        p = generate_irrigation_case(3, 2, 2)  # N=2: a single pair, no coupling
+        p = generate_irrigation_case(2, 2, 2)  # K, N <= 2: a single pair, no coupling
         stacked = build_stacked(p)
         op = build_schur(stacked)
         split = build_splitting(op)
@@ -293,3 +299,40 @@ class TestBookkeeping:
 
         ratio = flops(8) / flops(4)
         assert 0.8 * 2 <= ratio <= 1.3 * 2
+
+
+class TestOrientation:
+    """With K > N the padded grid is (t, i, j), so that the pair tridiagonal
+    runs along the shorter axis: a problem then solves exactly as its
+    transpose does, whose padded grid (t, j, i) is the same."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_irrigation_case(24, 4, 3, seed=3),
+        lambda: generate_msd_case(5, 2, 3, seed=4),  # odd K, N <= 2
+        lambda: random_problem(5, 3, 2, True, seed=5),  # mixed n and m, four boundary edges
+    ], ids=["irrigation-24x4x3", "msd-5x2x3", "random-5x3x2"])
+    def test_problem_solves_as_its_transpose(self, make):
+        runs, problem = [], make()
+        for p in (problem, transpose(problem)):
+            stacked = build_stacked(p)
+            schur = build_schur(stacked)
+            precond = NestedJacobiPreconditioner(schur)
+            assert precond.factors[PAIRS].shape[0] == math.ceil(min(p.K, p.N) / 2)
+            lam, report = pcg_solve(schur, precond, stacked.offset, tol=1e-10)
+            plain = cg_solve(schur, stacked.offset, tol=1e-10)[1]
+            runs.append((p, stacked.layout, lam, report, plain))
+        (p, _, lam, report, plain), (_, lay_t, lam_t, report_t, plain_t) = runs
+        assert p.K > p.N
+        assert report.steps == report_t.steps
+        # plain CG amplifies rounding: its estimate moves in the 8th digit
+        assert report.kappa_estimate == pytest.approx(report_t.kappa_estimate, rel=1e-9)
+        assert plain.kappa_estimate == pytest.approx(plain_t.kappa_estimate, rel=1e-6)
+        # the transpose's multipliers, read in the problem's natural order
+        moved = np.concatenate([lam_t[lay_t.x_slice(j, i, t)] for t in range(p.T + 1)
+                                for j in range(p.N) for i in range(p.K)])
+        assert np.max(np.abs(moved - lam)) <= 1e-12 * np.max(np.abs(lam))
+
+    def test_wide_and_square_grids_keep_columns_first(self):
+        for K, N, T in ((3, 3, 2), (2, 5, 1), (4, 4, 2)):
+            stacked = build_stacked(generate_msd_case(K, N, T, seed=6))
+            assert stacked.xpad.grid == (T + 1, N + N % 2, K + K % 2)

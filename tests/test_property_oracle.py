@@ -116,7 +116,7 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
                       (rho_outer, schur.diag, schur.outer)):
         want = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(d.densify(), c.densify()))))
         assert abs(got - want) <= 1e-10
-    if N <= 2:
+    if max(K, N) <= 2:
         assert rho_inner == 0.0
     # the matrix-free estimates; the outer one is exact only for exact inner
     # solves, and L = 2 sweeps leave an error of order rho_inner^2
