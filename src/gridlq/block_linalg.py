@@ -89,11 +89,16 @@ def lower_triangular_inverse(lower):
     return inv
 
 
-def spd_inverse(m):
-    """Inverse of small SPD matrices via their Cholesky factors; exactly symmetric."""
-    linv = lower_triangular_inverse(dense_cholesky(m))
+def cholesky_inverse(lower):
+    """Inverse of SPD matrices from their Cholesky factors; exactly symmetric."""
+    linv = lower_triangular_inverse(lower)
     inv = transposed(linv) @ linv
     return 0.5 * (inv + transposed(inv))
+
+
+def spd_inverse(m):
+    """Inverse of small SPD matrices via their Cholesky factors; exactly symmetric."""
+    return cholesky_inverse(dense_cholesky(m))
 
 
 class BlockTridiagCholesky:

@@ -1,7 +1,8 @@
 """Problem definition for LQ optimal control of a K x N grid of coupled
-linear subsystems, the stacked index layout and the trajectory type solvers
-return, plus generators for the two benchmark families and a JSON
-problem-file format.
+linear subsystems, its validation (one pass that also lays the data out on
+``stencil``'s padded grid for ``build_stacked``), the stacked index layout,
+the trajectory type solvers return, generators for the two benchmark
+families and a JSON problem-file format.
 
 Grid conventions: subsystem (i, j) sits in row i (0..K-1, "vertical") and
 column j (0..N-1, "horizontal"). Direction names follow the grid: the
@@ -187,49 +188,53 @@ def _checked(seq, count, shape, what, msgs):
         if not bad:
             msgs.append(f"{what} holds entries that are not numbers")
         return None
-    finite = np.isfinite(mats).reshape(count, -1).all(axis=1)
-    for t in np.flatnonzero(~finite):
+    finite = np.isfinite(mats)
+    if finite.all():
+        return mats
+    for t in np.flatnonzero(~finite.reshape(count, -1).all(axis=1)):
         msgs.append(f"{what}[{t}] has non-finite entries")
-    return mats if finite.all() else None
+    return None
 
 
-def _check_spd(problem, field, size, stages, msgs):
-    """Record each weight ``field`` that is not SPD as ``build_stacked``
-    factors it: unit-padded to the largest ``size``, in one batch with the
-    factorization's pivot threshold; only on failure is each real one named."""
-    pad = Padding([[getattr(sub, size) for sub in row] for row in problem.subsystems], stages)
-    stack = pad.stack(problem, field, stages, pad.block, unit=True)
+def _factored(stack, pad, field, msgs):
+    """Cholesky factors of the unit-padded weight stack ``field``, in one
+    batch with the factorization's pivot threshold; or None after naming each
+    real weight that is not symmetric positive definite as it is padded."""
     try:
-        dense_cholesky(stack)
+        return dense_cholesky(stack)
     except (DimensionMismatchError, NotPositiveDefiniteError):
-        for i, j, t in np.ndindex(problem.K, problem.N, stages):
+        for i, j, t in np.ndindex(*pad.sizes.shape, len(stack)):
             try:
                 dense_cholesky(stack[(t, *pad.orient(j, i))])
             except DimensionMismatchError:
                 msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not symmetric")
             except NotPositiveDefiniteError:
                 msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not positive definite")
+        return None
 
 
-def validate(problem: GridLQProblem) -> list:
-    """Return a list of human-readable invariant violations; empty means valid.
+def _padded(problem, stacked=True):
+    """Check ``problem`` and lay its data out on the padded grid in one pass.
 
-    Checks shapes and stage counts, finiteness of every number, and that
-    off-grid couplings have boundary data; then, only once all of that
-    holds because stacking needs sound shapes, that the cost weights are
-    SPD as ``build_stacked`` factors them (``_check_spd``).
+    Each matrix sequence is converted once and checked. Nothing is sized by
+    the declared dimensions before every check holds; then the checked arrays
+    fill the padded stacks (A and on-grid couplings at stages 1..T, B,
+    unit-padded Q and R, and ``offset``: initial states plus off-grid
+    couplings applied to boundary trajectories; only Q and R unless
+    ``stacked``), and Q and R are factored in one batch each. Returns the
+    messages and, only when there are none, ``(xpad, upad, stacks, factors)``.
     """
     msgs = []
     K, N, T = problem.K, problem.N, problem.T
     if K < 1 or N < 1 or T < 1:
         msgs.append(f"grid dimensions must be positive, got K={K} N={N} T={T}")
-        return msgs
+        return msgs, None
     if len(problem.subsystems) != K or any(len(r) != N for r in problem.subsystems):
         msgs.append("subsystem table does not match K x N")
-        return msgs
+        return msgs, None
 
-    # entry width of every declared boundary trajectory that passes its checks
-    widths = {}
+    # every declared boundary trajectory that passes its checks, (T, width)
+    trajectories = {}
     for direction, count in (("north", N), ("south", N), ("west", K), ("east", K)):
         traj = getattr(problem.boundary, direction)
         if traj is None:
@@ -239,60 +244,101 @@ def validate(problem: GridLQProblem) -> list:
             continue
         for idx, seq in enumerate(traj):
             what = f"boundary.{direction}[{idx}]"
-            shape = np.shape(seq[0]) if len(seq) else None
+            shape = np.shape(seq[0]) if seq is not None and len(seq) else None
             if shape is not None and len(shape) != 1:
                 msgs.append(f"{what}[0] shape {shape}, expected a vector")
-            elif _checked(seq, T, shape, what, msgs) is not None:
-                widths[direction, idx] = shape[0]
+            elif (sig := _checked(seq, T, shape, what, msgs)) is not None:
+                trajectories[direction, idx] = sig
 
-    for i in range(K):
-        for j in range(N):
-            sub = problem.sub(i, j)
-            tag = f"subsystem ({i}, {j})"
-            n, m = sub.n, sub.m
-            if n < 1 or m < 1:
-                msgs.append(f"{tag}: dimensions n={n} m={m} must be positive")
+    # (field, i, j, checked array), written into the stacks once all checks
+    # hold; an "offset" array is an initial state or a (T, n) boundary term
+    fills = []
+    for i, j in np.ndindex(K, N):
+        sub, tag = problem.sub(i, j), f"subsystem ({i}, {j})"
+        n, m = sub.n, sub.m
+        if n < 1 or m < 1:
+            msgs.append(f"{tag}: dimensions n={n} m={m} must be positive")
+            continue
+        for field, count, shape in (("A", T, (n, n)), ("B", T, (n, m)),
+                                    ("Q", T + 1, (n, n)), ("R", T, (m, m))):
+            mats = _checked(getattr(sub, field), count, shape, f"{tag}: {field}", msgs)
+            if mats is not None:
+                fills.append((field, i, j, mats))
+
+        for direction, (di, dj) in NEIGHBOURS.items():
+            blocks, sig = sub.coupling(direction), None
+            if blocks is None:
                 continue
-            _checked(sub.A, T, (n, n), f"{tag}: A", msgs)
-            _checked(sub.B, T, (n, m), f"{tag}: B", msgs)
-            _checked(sub.Q, T + 1, (n, n), f"{tag}: Q", msgs)
-            _checked(sub.R, T, (m, m), f"{tag}: R", msgs)
-
-            for direction, (di, dj) in NEIGHBOURS.items():
-                blocks = sub.coupling(direction)
-                if blocks is None:
-                    continue
-                if 0 <= i + di < K and 0 <= j + dj < N:
-                    want = problem.sub(i + di, j + dj).n
-                elif getattr(problem.boundary, direction) is None:
-                    msgs.append(
-                        f"{tag}: {direction} coupling points off-grid "
-                        "but no boundary trajectory is declared"
-                    )
-                    continue
-                else:
-                    # a trajectory that failed its checks is already reported
-                    want = widths.get((direction, j if di else i))
-                    if want is None:
-                        continue
-                _checked(blocks, T, (n, want), f"{tag}: {direction} coupling", msgs)
+            if 0 <= i + di < K and 0 <= j + dj < N:
+                want = problem.sub(i + di, j + dj).n
+            elif getattr(problem.boundary, direction) is None:
+                msgs.append(f"{tag}: {direction} coupling points off-grid "
+                            "but no boundary trajectory is declared")
+                continue
+            elif (sig := trajectories.get((direction, j if di else i))) is None:
+                continue  # the trajectory failed its checks, already reported
+            else:
+                want = sig.shape[1]
+            mats = _checked(blocks, T, (n, want), f"{tag}: {direction} coupling", msgs)
+            if mats is not None and sig is None:
+                fills.append((direction, i, j, mats))
+            elif mats is not None and stacked:
+                fills.append(("offset", i, j, (mats @ sig[..., None])[..., 0]))
 
     init = problem.boundary.init
     if len(init) != K or any(len(r) != N for r in init):
         msgs.append("boundary.init does not match K x N")
     else:
-        for i in range(K):
-            for j in range(N):
-                got, want = np.shape(init[i][j]), (problem.sub(i, j).n,)
-                if got != want:
-                    msgs.append(f"initial state ({i}, {j}): shape {got}, expected {want}")
-                elif not np.isfinite(np.asarray(init[i][j], dtype=float)).all():
-                    msgs.append(f"initial state ({i}, {j}) has non-finite entries")
+        for i, j in np.ndindex(K, N):
+            got, want = np.shape(init[i][j]), (problem.sub(i, j).n,)
+            if got != want:
+                msgs.append(f"initial state ({i}, {j}): shape {got}, expected {want}")
+                continue
+            try:
+                x0 = np.asarray(init[i][j], dtype=float)
+            except (TypeError, ValueError):
+                msgs.append(f"initial state ({i}, {j}) holds entries that are not numbers")
+                continue
+            if not np.isfinite(x0).all():
+                msgs.append(f"initial state ({i}, {j}) has non-finite entries")
+            fills.append(("offset", i, j, x0))
 
-    if not msgs:
-        _check_spd(problem, "Q", "n", T + 1, msgs)
-        _check_spd(problem, "R", "m", T, msgs)
-    return msgs
+    if msgs:
+        return msgs, None
+    sizes = np.array([[(sub.n, sub.m) for sub in row] for row in problem.subsystems])
+    xpad, upad = Padding(sizes[..., 0], T + 1), Padding(sizes[..., 1], T)
+    nb, mb, grid = xpad.block, upad.block, xpad.grid[1:]
+    stacks = {"Q": np.tile(np.eye(nb), (T + 1, *grid, 1, 1)),
+              "R": np.tile(np.eye(mb), (T, *grid, 1, 1))}
+    if stacked:
+        stacks.update({field: np.zeros((T + 1, *grid, nb, nb)) for field in ("A", *DIRECTIONS)},
+                      B=np.zeros((T, *grid, nb, mb)), offset=np.zeros(xpad.shape))
+    # drop each array once written, so later allocations reuse its memory:
+    # holding all of them to the end raised the process's peak RSS
+    fills.reverse()
+    while fills:
+        field, i, j, mats = fills.pop()
+        if field in stacks:
+            at = stacks[field][(slice(None), *xpad.orient(j, i))]
+            if field != "offset":
+                at[-len(mats):, :mats.shape[1], :mats.shape[2]] = mats
+            elif mats.ndim == 1:
+                at[0, :len(mats)] = mats
+            else:
+                at[1:, :mats.shape[1]] += mats
+    factors = [_factored(stacks[f], pad, f, msgs) for f, pad in (("Q", xpad), ("R", upad))]
+    return msgs, None if msgs else (xpad, upad, stacks, factors)
+
+
+def validate(problem: GridLQProblem) -> list:
+    """Return a list of human-readable invariant violations; empty means valid.
+
+    Checks shapes and stage counts, finiteness of every number, and that
+    off-grid couplings have boundary data; then, once all of that holds,
+    that the cost weights are SPD as ``build_stacked`` factors them, in the
+    pass ``build_stacked`` runs, here building only the Q and R stacks.
+    """
+    return _padded(problem, stacked=False)[0]
 
 
 # ---------------------------------------------------------------------------

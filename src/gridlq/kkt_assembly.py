@@ -6,12 +6,13 @@ multipliers. Its operator is block tri-diagonal across stages; every stage
 diagonal is a 13-offset stencil of small dense blocks over (column, row),
 and adjacent stages couple through a 5-offset stencil and its transpose.
 This module assembles that operator (``SchurOperator``) as one ``Stencil``
-over the padded grid, plus the two-level splitting used by the nested Jacobi
-sweeps (``PairSplitting``): consecutive lines along the longer grid axis are
-grouped into pairs, whose paired diagonal blocks become SPD block
-tri-diagonal matrices along the shorter axis, and the inter-pair couplings
-are applied on the fly. The pairing is private to the splitting: its factor
-solves natural-layout operands.
+over the padded grid, from the arrays of ``grid_problem``'s checking pass
+(it reads no problem data itself), plus the two-level splitting used by the
+nested Jacobi sweeps (``PairSplitting``): consecutive lines along the longer
+grid axis are grouped into pairs, whose paired diagonal blocks become SPD
+block tri-diagonal matrices along the shorter axis, and the inter-pair
+couplings are applied on the fly. The pairing is private to the splitting:
+its factor solves natural-layout operands.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
 the primal recovery is ``x = -Qinv (A' lam)``, ``u = -Rinv (B' lam)``,
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_linalg import BlockTridiagCholesky, spd_inverse, transposed
+from .block_linalg import BlockTridiagCholesky, cholesky_inverse, transposed
 from .errors import DENSE_GUARD, InvalidProblemError, guard
-from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, validate
-from .stencil import Padding, Stencil, shifted
+from .grid_problem import NEIGHBOURS, GridLQProblem, GridLayout, _padded
+from .grid_problem import validate  # noqa: F401  kept importable here: perfbench/spans.py traces it
+from .stencil import Stencil, shifted
 
 CENTRE = (0, 0, 0)
 
@@ -44,13 +46,10 @@ class StackedSystem:
     inputs, laid out by ``upad``.
     """
 
-    def __init__(self, layout, xpad, upad, constraint, b, q, r, offset):
+    def __init__(self, layout, xpad, upad, constraint, b, q, qinv, r, rinv, offset):
         self.layout, self.xpad, self.upad = layout, xpad, upad
         self.constraint, self.constraint_t = constraint, constraint.transpose()
-        self.b = b
-        self.q, self.qinv = q, spd_inverse(q)
-        self.r, self.rinv = r, spd_inverse(r)
-        self.offset = offset
+        self.b, self.q, self.qinv, self.r, self.rinv, self.offset = b, q, qinv, r, rinv, offset
 
     def apply_constraint(self, x):
         """Stacked constraint map: stage 0 row is -x_0, stage t+1 row is
@@ -83,45 +82,25 @@ class StackedSystem:
 
 
 def build_stacked(problem: GridLQProblem) -> StackedSystem:
-    """Assemble the stacked operators and the offset vector.
+    """Assemble the stacked operators and the offset vector from the padded
+    arrays and cost-weight factors of ``grid_problem``'s one checking pass,
+    the pass ``validate`` runs, here with every stack built.
 
-    Raises InvalidProblemError, a ValueError, with the collected messages
-    when validate() fails, which factors the same padded Q and R stacks.
+    Raises InvalidProblemError, a ValueError, with that pass's messages.
     """
-    msgs = validate(problem)
+    msgs, padded = _padded(problem)
     if msgs:
         raise InvalidProblemError("invalid problem: " + "; ".join(msgs), msgs)
-    lay = GridLayout(problem)
-    K, N, T = problem.K, problem.N, problem.T
-    xpad = Padding(lay.n, T + 1)
-    upad = Padding(lay.m, T)
-    nb = xpad.block
-
-    fields = {(-1, *xpad.orient(dj, di)): {"field": field, "toward": (di, dj)}
-              for field, (di, dj) in (("A", (0, 0)),) + tuple(NEIGHBOURS.items())}
-    def constraint(o, _):
-        return -np.eye(nb) if o == CENTRE else xpad.stack(
-            problem, stages=T + 1, cols=nb, **fields[o])
-
-    offset = np.zeros(xpad.shape)
-    bnd = problem.boundary
-    for i in range(K):
-        for j in range(N):
-            sub, at = problem.sub(i, j), offset[(slice(None), *xpad.orient(j, i))]
-            at[0, : sub.n] = bnd.init[i][j]
-            for direction, (di, dj) in NEIGHBOURS.items():
-                blocks, traj = sub.coupling(direction), getattr(bnd, direction)
-                if blocks is None or traj is None or (0 <= i + di < K and 0 <= j + dj < N):
-                    continue
-                sig = np.asarray(traj[j if di else i], dtype=float)[..., None]
-                at[1:, : sub.n] += (np.asarray(blocks, dtype=float) @ sig)[..., 0]
-
+    xpad, upad, stacks, (qchol, rchol) = padded
+    fields = {(-1, *xpad.orient(dj, di)): field
+              for field, (di, dj) in (("A", (0, 0)), *NEIGHBOURS.items())}
+    constraint = Stencil.filled([CENTRE, *fields], xpad, lambda o, _: (
+        -np.eye(xpad.block) if o == CENTRE else stacks[fields[o]]))
     return StackedSystem(
-        lay, xpad, upad, Stencil.filled([CENTRE, *fields], xpad, constraint),
-        b=xpad.stack(problem, "B", T, upad.block),
-        q=xpad.stack(problem, "Q", T + 1, nb, unit=True),
-        r=upad.stack(problem, "R", T, upad.block, unit=True),
-        offset=xpad.unpad(offset, True),
+        GridLayout(problem), xpad, upad, constraint, b=stacks["B"],
+        q=stacks["Q"], qinv=cholesky_inverse(qchol),
+        r=stacks["R"], rinv=cholesky_inverse(rchol),
+        offset=xpad.unpad(stacks["offset"], True),
     )
 
 

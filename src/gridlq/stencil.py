@@ -1,15 +1,16 @@
 """Padded block-stencil representation shared by every structured operator.
 
-This module owns the padded layout. All stacked vectors live on a padded
-(t, j, i) grid of uniform blocks, (t, i, j) when K > N so that the last grid
-axis is the shorter: the block size is the largest subsystem dimension
-(states and inputs each), and odd K and N are padded to even with decoupled
-dummy rows and columns. Padded entries get unit cost weights and
-zero dynamics, inputs, couplings and offsets, so their multipliers are
-exactly zero and drop out at the boundary, where ``Padding`` converts
-between the natural layout of ``GridLayout`` and the padded one. Operators
-are ``Stencil`` objects: the blocks of every (dt, dj, di) offset side by
-side in one fused array, applied in one batched product.
+This module owns the padded layout and reads no problem data. All stacked
+vectors live on a padded (t, j, i) grid of uniform blocks, (t, i, j) when
+K > N so that the last grid axis is the shorter: the block size is the
+largest subsystem dimension (states and inputs each), and odd K and N are
+padded to even with decoupled dummy rows and columns. ``grid_problem``
+stacks the problem so that padded entries get unit cost weights and zero
+dynamics, inputs, couplings and offsets; their multipliers are exactly zero
+and drop out at the boundary, where ``Padding`` converts between the natural
+layout of ``GridLayout`` and the padded one. Operators are ``Stencil``
+objects: the blocks of every (dt, dj, di) offset side by side in one fused
+array, applied in one batched product.
 """
 
 from __future__ import annotations
@@ -71,26 +72,6 @@ class Padding:
     def orient(self, j, i):
         """Grid axes (j, i), of a position or an offset (dj, di), in padded order."""
         return (i, j) if self.sizes.shape[0] > self.sizes.shape[1] else (j, i)
-
-    def stack(self, problem, field, stages, cols, unit=False, toward=(0, 0)):
-        """Per-subsystem matrix sequences ``field`` on the padded grid, shape
-        (stages,) + grid[1:] + (block, cols), filling the last stages. Padding is
-        zero, or unit diagonal for cost weights (``unit``). A coupling keeps
-        only the blocks whose neighbour in direction ``toward`` = (di, dj)
-        lies on the grid; the others act on boundary data."""
-        out = np.zeros((stages,) + self.grid[1:] + (self.block, cols))
-        if unit:
-            out[..., range(cols), range(cols)] = 1.0
-        K, N = self.sizes.shape
-        for i in range(K):
-            for j in range(N):
-                seq = getattr(problem.sub(i, j), field)
-                if seq is None or not (0 <= i + toward[0] < K and 0 <= j + toward[1] < N):
-                    continue
-                mats = np.asarray(seq, dtype=float)
-                a, b = self.orient(j, i)
-                out[-len(mats) :, a, b, : mats.shape[1], : mats.shape[2]] = mats
-        return out
 
     def pad(self, x):
         x = np.asarray(x, dtype=float)

@@ -16,6 +16,7 @@ from gridlq import (
     cli,
     dense_reference_solve,
     generate_msd_case,
+    grid_problem,
     kkt_assembly,
     pcg,
     pcg_solve,
@@ -172,9 +173,12 @@ class TestRun:
         assert calls == []
 
     def test_validates_once_per_solve(self, capsys, monkeypatch):
+        # validate and build_stacked both run the one checking pass
         calls = []
-        validate = kkt_assembly.validate
-        monkeypatch.setattr(kkt_assembly, "validate", lambda p: calls.append(p) or validate(p))
+        padded = grid_problem._padded
+        counted = lambda p, **kw: calls.append(p) or padded(p, **kw)  # noqa: E731
+        monkeypatch.setattr(grid_problem, "_padded", counted)
+        monkeypatch.setattr(kkt_assembly, "_padded", counted)
         code, _, _ = run_cli(capsys, "run", "--case", "case1", "--sweep", "2,3")
         assert code == 0
         assert len(calls) == 2

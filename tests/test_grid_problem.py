@@ -92,6 +92,27 @@ class TestValidate:
         with pytest.raises(InvalidProblemError):
             build_stacked(p)
 
+    @pytest.mark.parametrize("declared", ["n", "T"])
+    def test_declared_size_is_checked_before_anything_is_sized_by_it(self, declared,
+                                                                     monkeypatch):
+        # stacks sized from n = 10**5 or T = 10**8 would need terabytes, so
+        # the padded layout they are sized by must not even be made
+        def unsized(*args):
+            raise AssertionError("padded layout made before the checks passed")
+
+        monkeypatch.setattr(grid_problem, "Padding", unsized)
+        p = generate_msd_case(2, 2, 2, seed=0)
+        if declared == "n":
+            p.sub(0, 0).n = 10**5
+            want = "subsystem (0, 0): A[0] shape (4, 4), expected (100000, 100000)"
+        else:
+            p.T = 10**8
+            want = "subsystem (0, 0): A has 2 stages, expected 100000000"
+        msgs = validate(p)
+        assert want in msgs
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
+
     def test_valid_problem_factors_two_batches(self, monkeypatch):
         shapes = []
         factor = grid_problem.dense_cholesky
@@ -131,21 +152,28 @@ class TestValidate:
     def test_boundary_problem_valid(self):
         assert validate(make_boundary_problem()) == []
 
-    @pytest.mark.parametrize("corrupt", ["short", "empty", "scalar"])
+    @pytest.mark.parametrize("corrupt", ["short", "empty", "scalar", "none", "init"])
     def test_flags_malformed_boundary_trajectory(self, corrupt):
         # the north coupling of (0, 1) reads trajectory north[1]; a bad one
-        # is reported, never indexed
+        # is reported, never indexed, and so is an initial state
         p = generate_msd_case(2, 2, 2, seed=0)
         p.sub(0, 1).north = [np.eye(4)] * p.T
         p.boundary.north = [[np.zeros(4)] * p.T for _ in range(p.N)]
+        want = "boundary.north"
         if corrupt == "short":
             p.boundary.north.pop()
         elif corrupt == "empty":
             p.boundary.north[1] = []
-        else:
+        elif corrupt == "scalar":
             p.boundary.north[1] = [np.float64(0.0)] * p.T
+        elif corrupt == "none":
+            p.boundary.north = [None] * p.N
+            want = "boundary.north[1] is missing"
+        else:
+            p.boundary.init[0][1] = np.full(4, "x")
+            want = "initial state (0, 1) holds entries that are not numbers"
         msgs = validate(p)
-        assert any("boundary.north" in m for m in msgs)
+        assert any(want in m for m in msgs)
 
     def test_flags_non_finite_entries(self):
         p = make_boundary_problem()
@@ -156,12 +184,17 @@ class TestValidate:
         sub.Q[0][1, 1] = np.inf
         sub.south = [c.copy() for c in sub.south]
         sub.south[0][0, 0] = -np.inf
+        p.sub(1, 0).B = [np.ones((2, 2))] + p.sub(1, 0).B[1:]
         p.boundary.init[1][0] = np.array([0.0, np.nan])
         p.boundary.west[1][1] = np.array([np.nan, 1.0])
-        msgs = validate(p)
-        for want in ("(0, 1): A[1]", "(0, 1): Q[0]", "(0, 1): south coupling[0]",
-                     "initial state (1, 0)", "boundary.west[1][1]"):
-            assert any(want in m and "non-finite" in m for m in msgs), want
+        assert validate(p) == [
+            "boundary.west[1][1] has non-finite entries",
+            "subsystem (0, 1): A[1] has non-finite entries",
+            "subsystem (0, 1): Q[0] has non-finite entries",
+            "subsystem (0, 1): south coupling[0] has non-finite entries",
+            "subsystem (1, 0): B[0] shape (2, 2), expected (2, 1)",
+            "initial state (1, 0) has non-finite entries",
+        ]
 
 
 class TestMsdGenerator:

@@ -15,6 +15,8 @@ from gridlq import (
     generate_msd_case,
     reference_stage_block,
 )
+from gridlq import block_linalg, grid_problem
+from gridlq.block_linalg import spd_inverse
 from gridlq.oracle import _dense_kkt
 
 from conftest import (
@@ -107,6 +109,18 @@ class TestBuildStacked:
         _, _, _, _, off = _dense_kkt(p, lay)
         assert np.array_equal(s.offset, off)
         assert np.max(np.abs(s.offset[lay.stage_x_slice(1)])) > 0
+
+    def test_factors_cost_weights_once(self, monkeypatch):
+        shapes = []
+        factor = block_linalg.dense_cholesky
+        counted = lambda m: shapes.append(np.shape(m)) or factor(m)  # noqa: E731
+        monkeypatch.setattr(grid_problem, "dense_cholesky", counted)
+        monkeypatch.setattr(block_linalg, "dense_cholesky", counted)
+        s = build_stacked(generate_msd_case(3, 2, 2, seed=0))
+        assert shapes == [s.q.shape, s.r.shape]
+        monkeypatch.undo()
+        assert s.qinv.tobytes() == spd_inverse(s.q).tobytes()
+        assert s.rinv.tobytes() == spd_inverse(s.r).tobytes()
 
     def test_rejects_invalid_problem(self):
         p = generate_msd_case(2, 2, 2, seed=0)
