@@ -167,6 +167,14 @@ class TrajectorySolution:
 # validation
 
 
+def _shape(x):
+    """``np.shape(x)``, or "ragged" for a nested list that has none."""
+    try:
+        return np.shape(x)
+    except ValueError:
+        return "ragged"
+
+
 def _checked(seq, count, shape, what, msgs):
     """``seq`` as one float array of ``count`` matrices of ``shape``, or None
     after recording why it is not one: a missing list, wrong stage count,
@@ -182,11 +190,9 @@ def _checked(seq, count, shape, what, msgs):
     except (TypeError, ValueError):
         mats = None
     if mats is None or mats.shape != (count, *shape):
-        bad = [t for t, mat in enumerate(seq) if np.shape(mat) != shape]
-        for t in bad:
-            msgs.append(f"{what}[{t}] shape {np.shape(seq[t])}, expected {shape}")
-        if not bad:
-            msgs.append(f"{what} holds entries that are not numbers")
+        bad = [f"{what}[{t}] shape {got}, expected {shape}"
+               for t, mat in enumerate(seq) if (got := _shape(mat)) != shape]
+        msgs.extend(bad or [f"{what} holds entries that are not numbers"])
         return None
     finite = np.isfinite(mats)
     if finite.all():
@@ -244,8 +250,8 @@ def _padded(problem, stacked=True):
             continue
         for idx, seq in enumerate(traj):
             what = f"boundary.{direction}[{idx}]"
-            shape = np.shape(seq[0]) if seq is not None and len(seq) else None
-            if shape is not None and len(shape) != 1:
+            shape = _shape(seq[0]) if seq is not None and len(seq) else None
+            if shape is not None and (shape == "ragged" or len(shape) != 1):
                 msgs.append(f"{what}[0] shape {shape}, expected a vector")
             elif (sig := _checked(seq, T, shape, what, msgs)) is not None:
                 trajectories[direction, idx] = sig
@@ -290,7 +296,7 @@ def _padded(problem, stacked=True):
         msgs.append("boundary.init does not match K x N")
     else:
         for i, j in np.ndindex(K, N):
-            got, want = np.shape(init[i][j]), (problem.sub(i, j).n,)
+            got, want = _shape(init[i][j]), (problem.sub(i, j).n,)
             if got != want:
                 msgs.append(f"initial state ({i}, {j}): shape {got}, expected {want}")
                 continue

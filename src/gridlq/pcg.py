@@ -1,10 +1,9 @@
 """Conjugate gradient driver over the matrix-free reduced operator.
 
-The preconditioned update recomputes the preconditioned residual after
-every accepted step and uses it (not the raw residual) in the direction
-update, which is what makes the inner product bookkeeping consistent.
-Dot products are single full-vector reductions in a fixed order, so
-repeated runs produce bitwise identical results.
+Every solve starts from zero. Its loop holds only the recurrence and its
+stop tests; the op counts follow from its step and preconditioner-apply
+counts after it. Dot products are single full-vector reductions in a fixed
+order, so repeated runs produce bitwise identical results.
 
 PCG is a Lanczos process on the preconditioned operator, and its step
 coefficients define the Lanczos tridiagonal. The solve keeps them, so its
@@ -144,15 +143,15 @@ def tridiagonal_extremes(diag, off):
     return float(smallest), float(largest)
 
 
-def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
-              callback=None):
+def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, callback=None):
     """Preconditioned conjugate gradient for the reduced multiplier system.
 
     preconditioner is any object with an ``apply(r)`` method and an
     ``apply_flops`` attribute, or None for plain conjugate gradient.
-    Iterates from x0 (default zero) until the recurred residual infinity
-    norm drops below tol; a starting residual already below tol returns x0
-    after no step, with that residual as the report's only history entry.
+    Iterates from zero until the recurred residual infinity norm drops below
+    tol; a right-hand side already below tol returns zero after no step,
+    with its norm as the report's only history entry. The report's op
+    counts follow from its step and preconditioner-apply counts.
     Returns (solution, SolveReport); raises BreakdownError on non-positive
     or NaN curvature or preconditioned residual product, DivergenceError when
     the recurred residual turns non-finite or exceeds DIVERGENCE_FACTOR
@@ -175,37 +174,18 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
 
     start = time.perf_counter()
     n = schur.dim
-    counts = dict.fromkeys(COUNT_KEYS, 0.0)
-    precond_flops = getattr(preconditioner, "apply_flops", 0.0)
-
-    if x0 is None:
-        x = np.zeros(n)
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = rhs - schur.apply(x)
-        counts["operator_apply"] += schur.matvec_flops
-        initial = float(np.max(np.abs(r)))
-        counts["residual_norm"] += n
+    precondition = preconditioner.apply if preconditioner is not None else (lambda r: r)
     limit = DIVERGENCE_FACTOR * initial
-
-    if preconditioner is not None:
-        d = preconditioner.apply(r)
-        counts["preconditioner_apply"] += precond_flops
-    else:
-        d = r.copy()
+    # no line writes r or d in place, so the caller's rhs stays unwritten
+    x, r = np.zeros(n), rhs
+    d = precondition(r)
     mu = float(d @ r)
-    counts["precondition_dot"] += n
 
-    # after the first preconditioner apply, so every solve makes one
     converged, diverged = initial < tol, False
     history, alphas, betas = [initial] if converged else [], [], []
-    steps = 0
     for _ in range(0 if converged else max_steps):
         y = schur.apply(d)
-        counts["operator_apply"] += schur.matvec_flops
         curvature = float(y @ d)
-        counts["curvature_dot"] += n
         if not curvature > 0.0:
             raise BreakdownError(
                 f"non-positive or NaN curvature {curvature:.3e}; operator or "
@@ -214,37 +194,30 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
         alpha = mu / curvature
         alphas.append(alpha)
         x += alpha * d
-        counts["solution_update"] += n
         r = r - alpha * y
-        counts["residual_update"] += n
         res = float(np.max(np.abs(r)))
-        counts["residual_norm"] += n
         history.append(res)
-        steps += 1
         if callback is not None:
-            callback(steps, x, r)
-        if res < tol:
-            converged = True
+            callback(len(alphas), x, r)
+        converged, diverged = res < tol, not res <= limit
+        if converged or diverged:
             break
-        if not res <= limit:
-            diverged = True
-            break
-        if preconditioner is not None:
-            q = preconditioner.apply(r)
-            counts["preconditioner_apply"] += precond_flops
-        else:
-            q = r
+        q = precondition(r)
         mu_next = float(q @ r)
-        counts["precondition_dot"] += n
         if not mu_next > 0.0:
             raise BreakdownError(f"preconditioned residual product {mu_next:.3e} is not "
                                  "positive: indefinite preconditioner or underflow")
         beta = mu_next / mu
         betas.append(beta)
         d = q + beta * d
-        counts["direction_update"] += n
         mu = mu_next
 
+    # one preconditioner apply before the first step, one per direction update
+    steps, applies = len(alphas), len(betas) + 1
+    counts = dict(zip(COUNT_KEYS, map(float, (
+        steps * schur.matvec_flops, steps * n, steps * n, steps * n, steps * n,
+        applies * getattr(preconditioner, "apply_flops", 0.0), applies * n,
+        len(betas) * n))))
     report = SolveReport(
         steps=steps,
         residual_inf_history=history,
@@ -275,10 +248,9 @@ def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, x0=None,
     return x, report
 
 
-def cg_solve(schur, rhs, tol=1e-9, max_steps=None, x0=None, callback=None):
+def cg_solve(schur, rhs, tol=1e-9, max_steps=None, callback=None):
     """Unpreconditioned conjugate gradient baseline."""
-    return pcg_solve(schur, None, rhs, tol=tol, max_steps=max_steps, x0=x0,
-                     callback=callback)
+    return pcg_solve(schur, None, rhs, tol=tol, max_steps=max_steps, callback=callback)
 
 
 def spectrum_report(solve, *args, **kwargs):

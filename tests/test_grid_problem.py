@@ -131,6 +131,12 @@ class TestValidate:
         p = generate_msd_case(2, 2, 2, seed=0)
         p.sub(0, 1).A = [np.full((4, 4), "x")] * p.T
         assert validate(p) == ["subsystem (0, 1): A holds entries that are not numbers"]
+        # nested lists numpy cannot shape are named one matrix at a time
+        p.sub(0, 1).A = [[[1.0, 2.0], [3.0]]] * p.T
+        assert validate(p) == [f"subsystem (0, 1): A[{t}] shape ragged, expected (4, 4)"
+                               for t in range(p.T)]
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
 
     def test_flags_coupling_dimension(self):
         p = generate_msd_case(2, 3, 2, seed=0)
@@ -152,7 +158,8 @@ class TestValidate:
     def test_boundary_problem_valid(self):
         assert validate(make_boundary_problem()) == []
 
-    @pytest.mark.parametrize("corrupt", ["short", "empty", "scalar", "none", "init"])
+    @pytest.mark.parametrize("corrupt", ["short", "empty", "scalar", "none", "init",
+                                         "ragged"])
     def test_flags_malformed_boundary_trajectory(self, corrupt):
         # the north coupling of (0, 1) reads trajectory north[1]; a bad one
         # is reported, never indexed, and so is an initial state
@@ -169,11 +176,22 @@ class TestValidate:
         elif corrupt == "none":
             p.boundary.north = [None] * p.N
             want = "boundary.north[1] is missing"
-        else:
+        elif corrupt == "init":
             p.boundary.init[0][1] = np.full(4, "x")
             want = "initial state (0, 1) holds entries that are not numbers"
+        else:
+            # nested lists numpy cannot shape, in a trajectory and an initial state
+            p.boundary.north[1] = [[[1.0], [2.0, 3.0]]] * p.T
+            p.boundary.init[0][0] = [[1.0, 2.0], [3.0]]
+            want = ["boundary.north[1][0] shape ragged, expected a vector",
+                    "initial state (0, 0): shape ragged, expected (4,)"]
         msgs = validate(p)
-        assert any(want in m for m in msgs)
+        if corrupt == "ragged":
+            assert msgs == want
+        else:
+            assert any(want in m for m in msgs)
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
 
     def test_flags_non_finite_entries(self):
         p = make_boundary_problem()

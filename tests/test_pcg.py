@@ -16,7 +16,7 @@ from gridlq import (
     generate_msd_case,
     pcg_solve,
 )
-from gridlq.pcg import tridiagonal_extremes
+from gridlq.pcg import COUNT_KEYS, tridiagonal_extremes
 
 from conftest import make_uncoupled_problem
 
@@ -62,6 +62,21 @@ class DiagonalPreconditioner:
         return r / self.diag
 
 
+def pcg_counts(steps, applies, n, matvec_flops, apply_flops):
+    """op_counts of a solve that took ``steps`` steps and applied the
+    preconditioner ``applies`` times: one update per apply but the first."""
+    return {"operator_apply": steps * matvec_flops, "curvature_dot": steps * n,
+            "solution_update": steps * n, "residual_update": steps * n,
+            "residual_norm": steps * n, "preconditioner_apply": applies * apply_flops,
+            "precondition_dot": applies * n, "direction_update": (applies - 1) * n}
+
+
+def assert_counts(report, want):
+    assert list(report.op_counts) == list(COUNT_KEYS)
+    assert all(type(v) is float for v in report.op_counts.values())
+    assert report.op_counts == want
+
+
 @pytest.fixture(scope="module")
 def msd_setup():
     problem = generate_msd_case(3, 3, 3, seed=1)
@@ -84,15 +99,19 @@ class TestConvergence:
 
     def test_matches_dense_oracle(self, msd_setup):
         _, stacked, op, precond, reference = msd_setup
+        rhs = stacked.offset.copy()
         x, report = pcg_solve(op, precond, stacked.offset, tol=1e-9)
         assert report.converged
+        assert stacked.offset.tobytes() == rhs.tobytes()
         scale = np.max(np.abs(reference.multipliers))
         assert np.max(np.abs(x - reference.multipliers)) < 1e-6 * scale
 
     def test_plain_cg_matches_oracle(self, msd_setup):
         _, stacked, op, _, reference = msd_setup
+        rhs = stacked.offset.copy()
         x, report = cg_solve(op, stacked.offset, tol=1e-9)
         assert report.converged
+        assert stacked.offset.tobytes() == rhs.tobytes()
         scale = np.max(np.abs(reference.multipliers))
         assert np.max(np.abs(x - reference.multipliers)) < 1e-6 * scale
 
@@ -111,16 +130,6 @@ class TestConvergence:
         x, _ = pcg_solve(op, precond, stacked.offset, tol=tol)
         true_res = np.max(np.abs(stacked.offset - op.apply(x)))
         assert true_res < tol + 1e-12 * np.max(np.abs(stacked.offset))
-
-    def test_warm_start(self, msd_setup):
-        _, stacked, op, precond, reference = msd_setup
-        _, cold = pcg_solve(op, precond, stacked.offset, tol=1e-9)
-        x0 = reference.multipliers * 0.99
-        x, warm = pcg_solve(op, precond, stacked.offset, tol=1e-9, x0=x0)
-        assert warm.converged
-        assert warm.steps <= cold.steps
-        scale = np.max(np.abs(reference.multipliers))
-        assert np.max(np.abs(x - reference.multipliers)) < 1e-6 * scale
 
     def test_finite_termination_bound(self):
         for seed in range(3):
@@ -174,15 +183,9 @@ class TestReport:
     def test_op_counts_populated(self, msd_setup):
         _, stacked, op, precond, _ = msd_setup
         _, report = pcg_solve(op, precond, stacked.offset, tol=1e-9)
-        n = op.dim
+        # the setup apply stands in for the one the converged step skips
         s = report.steps
-        assert report.op_counts["operator_apply"] == s * op.matvec_flops
-        assert report.op_counts["preconditioner_apply"] == s * precond.apply_flops
-        assert report.op_counts["curvature_dot"] == s * n
-        assert report.op_counts["solution_update"] == s * n
-        # the setup apply and dot stand in for the skipped final loop ones
-        assert report.op_counts["precondition_dot"] == s * n
-        assert report.op_counts["direction_update"] == (s - 1) * n
+        assert_counts(report, pcg_counts(s, s, op.dim, op.matvec_flops, precond.apply_flops))
 
     @pytest.mark.parametrize("preconditioned", [False, True])
     def test_zero_right_hand_side_takes_no_step(self, preconditioned):
@@ -193,8 +196,8 @@ class TestReport:
         assert not x.any() and report.final_residual == 0.0
         assert report.kappa_estimate is None
         # the one preconditioner apply and its dot every solve makes
-        assert report.op_counts["precondition_dot"] == 6
-        assert report.op_counts["preconditioner_apply"] == (6 if preconditioned else 0)
+        assert_counts(report, pcg_counts(0, 1, 6, op.matvec_flops,
+                                         precond.apply_flops if preconditioned else 0.0))
 
     def test_flops_per_step(self, msd_setup):
         _, stacked, op, precond, _ = msd_setup
@@ -297,6 +300,9 @@ class TestFailureModes:
         assert exc.iterations == 2
         assert exc.report is not None and not exc.report.converged
         assert exc.iterate is not None and exc.iterate.shape == (op.dim,)
+        # applies before the first step and after each of the two steps
+        assert_counts(exc.report, pcg_counts(2, 3, op.dim, op.matvec_flops,
+                                             precond.apply_flops))
 
     def test_underflow_is_breakdown_not_convergence(self):
         # tol far below what the squared residual can hold: its dot product
@@ -313,12 +319,16 @@ class TestFailureModes:
             for j in range(2):
                 p.sub(i, j).Q = [1e300 * np.eye(4)] * 3
         stacked = build_stacked(p)
+        op = build_schur(stacked)
         with pytest.raises(DivergenceError) as info:
-            cg_solve(build_schur(stacked), stacked.offset, tol=1e-9)
+            cg_solve(op, stacked.offset, tol=1e-9)
         exc = info.value
         assert exc.iterations <= 10
         assert exc.report is not None and exc.report.steps == exc.iterations
         assert exc.iterate is not None
+        # no preconditioner flops; the diverging step makes no direction update
+        steps = exc.report.steps
+        assert_counts(exc.report, pcg_counts(steps, steps, op.dim, op.matvec_flops, 0.0))
 
     def test_rejects_bad_inputs(self, msd_setup):
         _, stacked, op, _, _ = msd_setup
