@@ -15,6 +15,7 @@ is simply absent.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,15 @@ def _shape(x):
         return "ragged"
 
 
+def _count(x):
+    """``len(x)``, or "no" for a value that is not a sequence: a number,
+    None or a mapping."""
+    try:
+        return "no" if isinstance(x, dict) else len(x)
+    except TypeError:
+        return "no"
+
+
 def _checked(seq, count, shape, what, msgs):
     """``seq`` as one float array of ``count`` matrices of ``shape``, or None
     after recording why it is not one: a missing list, wrong stage count,
@@ -182,8 +192,8 @@ def _checked(seq, count, shape, what, msgs):
     if seq is None:
         msgs.append(f"{what} is missing")
         return None
-    if len(seq) != count:
-        msgs.append(f"{what} has {len(seq)} stages, expected {count}")
+    if (stages := _count(seq)) != count:
+        msgs.append(f"{what} has {stages} stages, expected {count}")
         return None
     try:
         mats = np.asarray(seq, dtype=float)
@@ -211,7 +221,7 @@ def _factored(stack, pad, field, msgs):
     except (DimensionMismatchError, NotPositiveDefiniteError):
         for i, j, t in np.ndindex(*pad.sizes.shape, len(stack)):
             try:
-                dense_cholesky(stack[(t, *pad.orient(j, i))])
+                dense_cholesky(stack[t, j, i])
             except DimensionMismatchError:
                 msgs.append(f"subsystem ({i}, {j}): {field}[{t}]: not symmetric")
             except NotPositiveDefiniteError:
@@ -235,7 +245,7 @@ def _padded(problem, stacked=True):
     if K < 1 or N < 1 or T < 1:
         msgs.append(f"grid dimensions must be positive, got K={K} N={N} T={T}")
         return msgs, None
-    if len(problem.subsystems) != K or any(len(r) != N for r in problem.subsystems):
+    if _count(problem.subsystems) != K or any(_count(r) != N for r in problem.subsystems):
         msgs.append("subsystem table does not match K x N")
         return msgs, None
 
@@ -245,12 +255,12 @@ def _padded(problem, stacked=True):
         traj = getattr(problem.boundary, direction)
         if traj is None:
             continue
-        if len(traj) != count:
-            msgs.append(f"boundary.{direction} has {len(traj)} entries, expected {count}")
+        if (entries := _count(traj)) != count:
+            msgs.append(f"boundary.{direction} has {entries} entries, expected {count}")
             continue
         for idx, seq in enumerate(traj):
             what = f"boundary.{direction}[{idx}]"
-            shape = _shape(seq[0]) if seq is not None and len(seq) else None
+            shape = _shape(seq[0]) if _count(seq) not in (0, "no") else None
             if shape is not None and (shape == "ragged" or len(shape) != 1):
                 msgs.append(f"{what}[0] shape {shape}, expected a vector")
             elif (sig := _checked(seq, T, shape, what, msgs)) is not None:
@@ -262,6 +272,9 @@ def _padded(problem, stacked=True):
     for i, j in np.ndindex(K, N):
         sub, tag = problem.sub(i, j), f"subsystem ({i}, {j})"
         n, m = sub.n, sub.m
+        if not (isinstance(n, numbers.Integral) and isinstance(m, numbers.Integral)):
+            msgs.append(f"{tag}: dimensions n={n!r} m={m!r} are not integers")
+            continue
         if n < 1 or m < 1:
             msgs.append(f"{tag}: dimensions n={n} m={m} must be positive")
             continue
@@ -292,7 +305,7 @@ def _padded(problem, stacked=True):
                 fills.append(("offset", i, j, (mats @ sig[..., None])[..., 0]))
 
     init = problem.boundary.init
-    if len(init) != K or any(len(r) != N for r in init):
+    if _count(init) != K or any(_count(r) != N for r in init):
         msgs.append("boundary.init does not match K x N")
     else:
         for i, j in np.ndindex(K, N):
@@ -325,7 +338,7 @@ def _padded(problem, stacked=True):
     while fills:
         field, i, j, mats = fills.pop()
         if field in stacks:
-            at = stacks[field][(slice(None), *xpad.orient(j, i))]
+            at = stacks[field][:, j, i]
             if field != "offset":
                 at[-len(mats):, :mats.shape[1], :mats.shape[2]] = mats
             elif mats.ndim == 1:
@@ -343,6 +356,9 @@ def validate(problem: GridLQProblem) -> list:
     off-grid couplings have boundary data; then, once all of that holds,
     that the cost weights are SPD as ``build_stacked`` factors them, in the
     pass ``build_stacked`` runs, here building only the Q and R stacks.
+    It never raises on the values themselves: a number or a ragged list
+    where a table, sequence or matrix belongs, as a problem file may hold,
+    gets a message that locates it.
     """
     return _padded(problem, stacked=False)[0]
 
@@ -494,12 +510,6 @@ def _mats_to_lists(seq):
     return [np.asarray(m).tolist() for m in seq]
 
 
-def _lists_to_mats(seq):
-    if seq is None:
-        return None
-    return [np.array(m, dtype=float) for m in seq]
-
-
 def problem_to_dict(problem: GridLQProblem) -> dict:
     subs = []
     for i in range(problem.K):
@@ -538,51 +548,34 @@ def problem_to_dict(problem: GridLQProblem) -> dict:
     }
 
 
-def problem_from_dict(data: dict) -> GridLQProblem:
-    """Problem from its document form.
+def _record(rec):
+    """Subsystem of a document record: integer n and m, the rest as written."""
+    return SubsystemData(n=int(rec["n"]), m=int(rec["m"]),
+                         **{field: rec[field] for field in ("A", "B", "Q", "R")},
+                         **{d: rec.get(d) for d in DIRECTIONS})
 
-    Raises InvalidProblemError on another document type, a missing key, a
-    ragged table or an entry of the wrong type; ``validate`` checks the rest.
+
+def problem_from_dict(data: dict) -> GridLQProblem:
+    """Problem from its document form, decoding its structure only.
+
+    Raises InvalidProblemError on another document type, a missing key or a
+    grid or subsystem dimension that is not an integer. Matrices, vectors
+    and tables pass through as written, for ``validate`` to check as it
+    checks an in-memory problem, with the same messages.
     """
     if not isinstance(data, dict) or data.get("format") != "grid-lq-problem":
         raise InvalidProblemError("not a grid-lq-problem document")
     try:
         K, N, T = (int(data[key]) for key in ("K", "N", "T"))
         table, bnd = data["subsystems"], data["boundary"]
-        for name, rows in (("subsystems", table), ("boundary.init", bnd["init"])):
-            if len(rows) != K or any(len(row) != N for row in rows):
-                raise InvalidProblemError(f"{name} table is not {K} x {N}")
-        subs = [
-            [
-                SubsystemData(
-                    n=int(rec["n"]),
-                    m=int(rec["m"]),
-                    A=_lists_to_mats(rec["A"]),
-                    B=_lists_to_mats(rec["B"]),
-                    Q=_lists_to_mats(rec["Q"]),
-                    R=_lists_to_mats(rec["R"]),
-                    **{d: _lists_to_mats(rec.get(d)) for d in DIRECTIONS},
-                )
-                for rec in row
-            ]
-            for row in table
-        ]
-        boundary = BoundaryData(
-            init=[[np.array(g, dtype=float) for g in row] for row in bnd["init"]],
-            **{
-                d: None
-                if bnd.get(d) is None
-                else [[np.array(v, dtype=float) for v in seq] for seq in bnd[d]]
-                for d in DIRECTIONS
-            },
-        )
-    except InvalidProblemError:
-        raise
+        if isinstance(table, list) and all(isinstance(row, list) for row in table):
+            table = [[_record(rec) for rec in row] for row in table]
+        boundary = BoundaryData(bnd["init"], **{d: bnd.get(d) for d in DIRECTIONS})
     except KeyError as exc:
         raise InvalidProblemError(f"problem document lacks key {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidProblemError(f"malformed problem document: {exc}") from exc
-    return GridLQProblem(K, N, T, subs, boundary)
+    return GridLQProblem(K, N, T, table, boundary)
 
 
 def save_problem(problem: GridLQProblem, path):

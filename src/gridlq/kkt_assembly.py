@@ -11,7 +11,7 @@ over the padded grid, from the arrays of ``grid_problem``'s checking pass
 nested Jacobi sweeps (``PairSplitting``): consecutive lines along the longer
 grid axis are grouped into pairs, whose paired diagonal blocks become SPD
 block tri-diagonal matrices along the shorter axis, and the inter-pair
-couplings are applied on the fly. The pairing is private to the splitting:
+couplings are applied on the fly. Only the splitting knows the pairing axis:
 its factor solves natural-layout operands.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
@@ -92,8 +92,7 @@ def build_stacked(problem: GridLQProblem) -> StackedSystem:
     if msgs:
         raise InvalidProblemError("invalid problem: " + "; ".join(msgs), msgs)
     xpad, upad, stacks, (qchol, rchol) = padded
-    fields = {(-1, *xpad.orient(dj, di)): field
-              for field, (di, dj) in (("A", (0, 0)), *NEIGHBOURS.items())}
+    fields = {(-1, dj, di): field for field, (di, dj) in (("A", (0, 0)), *NEIGHBOURS.items())}
     constraint = Stencil.filled([CENTRE, *fields], xpad, lambda o, _: (
         -np.eye(xpad.block) if o == CENTRE else stacks[fields[o]]))
     return StackedSystem(
@@ -199,9 +198,10 @@ def build_schur(stacked: StackedSystem) -> SchurOperator:
 
 
 class PairSplitting:
-    """Pairs lines p, p + 1 (p even) along the longer grid axis and splits
-    every stage diagonal into its pair-diagonal part and the negated
-    inter-pair couplings (the inner splitting's C term), applied on the fly.
+    """Pairs lines p, p + 1 (p even) along the longer grid axis, padded
+    ``axis`` 1 (columns) or 2 (rows, when K > N), and splits every stage
+    diagonal into its pair-diagonal part and the negated inter-pair couplings
+    (the inner splitting's C term), applied on the fly.
 
     Both parts are masks of the stage-diagonal stencil, so the
     reconstruction ``pair-diagonal minus couplings = stage diagonal`` holds
@@ -209,12 +209,13 @@ class PairSplitting:
     """
 
     def __init__(self, schur: SchurOperator):
-        self.schur = schur
-        diag, lines = schur.diag, np.arange(schur.padding.grid[1])
+        self.schur, diag, (K, N) = schur, schur.diag, schur.padding.sizes.shape
+        self.axis = axis = 2 if K > N else 1
+        lines = np.arange(diag.padding.grid[axis]).reshape((-1,) + (1,) * (4 - axis))
         # offsets that stay on their line never leave the pair
         self.inner = Stencil.filled(
-            [o for o in diag.offsets if o[1]], diag.padding, lambda o, _: np.where(
-                (lines // 2 != (lines + o[1]) // 2)[:, None, None, None], -diag.weights[o], 0.0))
+            [o for o in diag.offsets if o[axis]], diag.padding, lambda o, _: np.where(
+                lines // 2 != (lines + o[axis]) // 2, -diag.weights[o], 0.0))
         self.inner_coupling_flops = self.inner.flops
 
     @property
@@ -238,14 +239,15 @@ class PairSplitting:
         block tri-diagonal factorization over all (pair, stage), solving
         natural-layout operands.
 
-        Block row r holds the 2 x 2 subsystems at positions 2r, 2r + 1 of the
-        pair's two lines, ordered as ``_PairFactor`` permutes operands.
+        Block row r holds the 2 x 2 subsystems at positions 2r, 2r + 1 of a
+        pair's two ``axis`` lines, ordered as ``_PairFactor`` permutes operands.
         """
-        pad = self.schur.padding
-        stages, lines, depth, nb = pad.shape
+        pad, axis = self.schur.padding, self.axis
+        stages, lines, depth, nb = (pad.shape[a] for a in (0, axis, 3 - axis, 3))
         # [0] diagonal blocks, [1] blocks coupling block row r to r - 1
         blocks = np.zeros((2, depth // 2, stages, lines // 2, 2, 2, nb, 2, 2, nb))
-        for (_, dc, da), w in self.schur.diag.weights.items():
+        for o, w in self.schur.diag.weights.items():
+            dc, da, w = o[axis], o[3 - axis], w.swapaxes(1, axis)
             for c in range(max(0, -dc), min(2, 2 - dc)):
                 for a in (0, 1):
                     s, a2 = divmod(a + da, 2)
@@ -253,28 +255,31 @@ class PairSplitting:
                         blocks[-s][..., c, a, :, c + dc, a2, :] = w[:, c::2, a::2].transpose(
                             2, 0, 1, 3, 4)
         blocks = blocks.reshape(2, depth // 2, stages, lines // 2, 4 * nb, 4 * nb)
-        return _PairFactor(blocks[0], blocks[1], pad)
+        return _PairFactor(blocks[0], blocks[1], pad, axis)
 
 
 class _PairFactor(BlockTridiagCholesky):
     """The batched pair factor on natural-layout operands.
 
-    Its block rows run over position pairs of the shorter grid axis, batch
-    axes (t, line pair), entries (line in pair, position in pair, entry): so
-    ``solve`` copies its padded operand once into that order, solving in place.
+    Its block rows run over position pairs along the shorter grid axis, batch
+    axes (t, line pair), entries (line in pair, position in pair, entry):
+    ``solve`` copies a padded operand, read as (t, column pair, column, row
+    pair, row, entry, k), once into that ``order``, solving in place.
     """
 
-    def __init__(self, diag, sub, padding):
+    def __init__(self, diag, sub, padding, axis):
         super().__init__(diag, sub)
         self.padding = padding
+        self.order = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (1, 0, 3, 4, 2, 5, 6)
+        self.back = tuple(np.argsort(self.order))
 
     def solve(self, b):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
-        stages, lines, depth, nb = self.padding.shape
-        bp = self.padding.pad(b).reshape(stages, lines // 2, 2, depth // 2, 2, nb, -1)
-        work = bp.transpose(3, 0, 1, 2, 4, 5, 6).copy()
+        stages, cols, rows, nb = self.padding.shape
+        bp = self.padding.pad(b).reshape(stages, cols // 2, 2, rows // 2, 2, nb, -1)
+        work = bp.transpose(self.order).copy()
         self.sweep(work.reshape(self.shape + (-1,)))
-        return self.padding.unpad(work.transpose(1, 2, 3, 0, 4, 5, 6), np.ndim(b) == 1)
+        return self.padding.unpad(work.transpose(self.back), np.ndim(b) == 1)
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:

@@ -1,14 +1,14 @@
 """Padded block-stencil representation shared by every structured operator.
 
 This module owns the padded layout and reads no problem data. All stacked
-vectors live on a padded (t, j, i) grid of uniform blocks, (t, i, j) when
-K > N so that the last grid axis is the shorter: the block size is the
-largest subsystem dimension (states and inputs each), and odd K and N are
-padded to even with decoupled dummy rows and columns. ``grid_problem``
-stacks the problem so that padded entries get unit cost weights and zero
-dynamics, inputs, couplings and offsets; their multipliers are exactly zero
-and drop out at the boundary, where ``Padding`` converts between the natural
-layout of ``GridLayout`` and the padded one. Operators are ``Stencil``
+vectors live on a padded (t, j, i) grid of uniform blocks, whatever the grid
+shape: the block size is the largest subsystem dimension (states and inputs
+each), and odd K and N are padded to even with decoupled dummy rows and
+columns. ``grid_problem`` stacks the problem so that padded entries get
+unit cost weights and zero dynamics, inputs, couplings and offsets; their
+multipliers are exactly zero and drop out at the boundary, where
+``Padding`` converts between the natural layout of ``GridLayout`` and the
+padded one, which orders the grid the same way. Operators are ``Stencil``
 objects: the blocks of every (dt, dj, di) offset side by side in one fused
 array, applied in one batched product.
 """
@@ -44,34 +44,29 @@ class Padding:
 
     The vector has ``stages`` stages of a K x N grid whose subsystem (i, j)
     holds ``sizes[i][j]`` entries, natural order (t, j, i, entry). The padded
-    array has axes (t, j, i, entry, column), (t, i, j, ...) when K > N so that
-    the last grid axis is the shorter, with shape ``shape + (k,)``. When
-    nothing is padded and K <= N the map is a reshape.
+    array has axes (t, j, i, entry, column), shape ``shape + (k,)``: the same
+    order with every grid position a full block, so the map is a reshape
+    exactly when nothing is padded, ``dim == size``.
     """
 
     def __init__(self, sizes, stages):
         self.sizes = sizes = np.asarray(sizes, dtype=np.intp)
         K, N = sizes.shape
         self.block = block = int(sizes.max())
-        self.grid = (stages, *self.orient(N + N % 2, K + K % 2))
+        self.grid = (stages, N + N % 2, K + K % 2)
         self.shape = self.grid + (block,)
         self.size = math.prod(self.shape)
-        at = np.arange(math.prod(self.grid[1:])).reshape(self.grid[1:])
         stage = np.concatenate([
-            at[self.orient(j, i)] * block + np.arange(sizes[i, j])
+            (j * self.grid[2] + i) * block + np.arange(sizes[i, j])
             for j in range(N) for i in range(K)
         ])
         stride = self.size // stages
         self.index = (np.arange(stages)[:, None] * stride + stage).ravel()
         self.dim = self.index.size
-        self.is_reshape = self.dim == self.size and K <= N
+        self.is_reshape = self.dim == self.size
         # natural entry of every padded one; padding reads a zero row at dim
         self.source = np.full(self.size, self.dim)
         self.source[self.index] = np.arange(self.dim)
-
-    def orient(self, j, i):
-        """Grid axes (j, i), of a position or an offset (dj, di), in padded order."""
-        return (i, j) if self.sizes.shape[0] > self.sizes.shape[1] else (j, i)
 
     def pad(self, x):
         x = np.asarray(x, dtype=float)
@@ -93,7 +88,7 @@ class Padding:
 
 class Stencil:
     """Square block operator over a padded grid: ``out[p] += weights[o][p] @
-    x[p + o]`` for every offset o, in padded axes (dt, dj, di) or (dt, di, dj).
+    x[p + o]`` for every offset o = (dt, dj, di) of the padded grid.
 
     ``fused``, shape grid + (block, len(offsets) * block), holds the blocks
     of all offsets side by side in ``offsets`` order; ``weights[o]`` views

@@ -195,7 +195,7 @@ class TestBlockBanded:
             assert np.max(np.abs(factor.solve(phi @ x) - x)) < 1e-10
 
     def test_pair_solve_equals_generic_solve_bitwise(self):
-        # reference: pad, permute into row-pair order, the generic factor
+        # reference: pad, permute into block-row order, the generic factor
         # solve, permute back; the pair factor's own layout work must not
         # change a bit of that
         rng = np.random.default_rng(20)
@@ -203,11 +203,22 @@ class TestBlockBanded:
             op = build_schur(build_stacked(generate_msd_case(*dims, seed=20)))
             factor = build_splitting(op).factor()
             T1, Np, Kp, nb = op.padding.shape
+            if dims[0] > dims[1]:
+                # row pairs: block rows over column pairs, batch (t, row pair),
+                # entries (row, column, entry)
+                to_rows, back = (1, 0, 3, 4, 2, 5, 6), (1, 0, 4, 2, 3, 5, 6)
+                lead = (Np // 2, T1, Kp // 2)
+            else:
+                # column pairs: block rows over row pairs, batch (t, column
+                # pair), entries (column, row, entry)
+                to_rows, back = (3, 0, 1, 2, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6)
+                lead = (Kp // 2, T1, Np // 2)
             for x in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+                # padded (t, j, i) read as (t, column pair, column, row pair, row, entry, k)
                 bp = op.padding.pad(x).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
-                rows = bp.transpose(3, 0, 1, 2, 4, 5, 6).reshape(op.padding.size, -1)
+                rows = bp.transpose(to_rows).reshape(op.padding.size, -1)
                 y = BlockTridiagCholesky.solve(factor, rows)
-                y = y.reshape(Kp // 2, T1, Np // 2, 2, 2, nb, -1).transpose(1, 2, 3, 0, 4, 5, 6)
+                y = y.reshape(lead + (2, 2, nb, -1)).transpose(back)
                 assert np.array_equal(factor.solve(x), op.padding.unpad(y, x.ndim == 1))
 
     def test_matvec_flops_counts_blocks(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,13 @@ class TestValidate:
         p.sub(0, 1).A = [[[1.0, 2.0], [3.0]]] * p.T
         assert validate(p) == [f"subsystem (0, 1): A[{t}] shape ragged, expected (4, 4)"
                                for t in range(p.T)]
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
+
+    def test_flags_dimensions_that_are_not_integers(self):
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.sub(1, 1).n = "four"
+        assert "subsystem (1, 1): dimensions n='four' m=2 are not integers" in validate(p)
         with pytest.raises(InvalidProblemError):
             build_stacked(p)
 
@@ -359,15 +368,55 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             load_problem(path)
 
-    @pytest.mark.parametrize("corrupt", ["missing_key", "ragged_table", "wrong_type"])
+    @pytest.mark.parametrize("corrupt", ["missing_key", "wrong_type", "infinite_size"])
     def test_malformed_documents_raise_invalid_problem(self, corrupt):
         doc = problem_to_dict(generate_msd_case(2, 3, 2, seed=0))
         if corrupt == "missing_key":
             del doc["subsystems"][1][2]["Q"]
-        elif corrupt == "ragged_table":
-            doc["boundary"]["init"][0].pop()
-        else:
+        elif corrupt == "wrong_type":
             doc["T"] = [2]
+        else:
+            doc["K"] = float("inf")  # json.load reads Infinity
         with pytest.raises(InvalidProblemError) as info:
             problem_from_dict(doc)
         assert isinstance(info.value, GridLQError)
+
+    @pytest.mark.parametrize("path, value, want", [
+        (("subsystems", 0, 1, "A", 0), [[1.0, 2.0], [3.0]],
+         ["subsystem (0, 1): A[0] shape ragged, expected (4, 4)"]),
+        (("subsystems", 0, 0, "A"), 5, ["subsystem (0, 0): A has no stages, expected 2"]),
+        (("subsystems", 0, 1, "west"), 3,
+         ["subsystem (0, 1): west coupling has no stages, expected 2"]),
+        (("boundary", "north"), 5, ["boundary.north has no entries, expected 3"]),
+        (("boundary", "north"), [5, 5, 5],
+         [f"boundary.north[{j}] has no stages, expected 2" for j in range(3)]),
+        (("boundary", "init"), 5, ["boundary.init does not match K x N"]),
+        (("boundary", "init", 0), 5, ["boundary.init does not match K x N"]),
+        (("boundary", "init", 0), [[0.0] * 4] * 2, ["boundary.init does not match K x N"]),
+        (("subsystems",), 5, ["subsystem table does not match K x N"]),
+    ], ids=["ragged_matrix", "number_matrices", "number_coupling", "number_trajectories",
+            "number_trajectory", "number_init", "number_init_row", "ragged_table",
+            "number_table"])
+    def test_file_and_memory_messages_agree(self, path, value, want):
+        # the document decoder passes values through, so validate sees a
+        # corrupted file exactly as it sees the same corruption in memory
+        def put(obj, path, value):
+            # attributes of the problem's objects, keys and indices of lists
+            # and of its document
+            *head, last = path
+            for key in head:
+                keyed = isinstance(key, int) or isinstance(obj, dict)
+                obj = obj[key] if keyed else getattr(obj, key)
+            if isinstance(last, int) or isinstance(obj, dict):
+                obj[last] = value
+            else:
+                setattr(obj, last, value)
+
+        p = generate_msd_case(2, 3, 2, seed=0)
+        doc = problem_to_dict(p)
+        put(p, path, value)
+        put(doc, path, value)
+        assert validate(p) == want
+        assert validate(problem_from_dict(json.loads(json.dumps(doc)))) == want
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)

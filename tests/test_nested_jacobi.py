@@ -302,9 +302,10 @@ class TestBookkeeping:
 
 
 class TestOrientation:
-    """With K > N the padded grid is (t, i, j), so that the pair tridiagonal
-    runs along the shorter axis: a problem then solves exactly as its
-    transpose does, whose padded grid (t, j, i) is the same."""
+    """The padded grid is (t, j, i) for every grid shape; with K > N the
+    splitting pairs rows, so that the pair tridiagonal runs along the shorter
+    axis: a problem then solves as its transpose does, with the same steps
+    and the same factor depth."""
 
     @pytest.mark.parametrize("make", [
         lambda: generate_irrigation_case(24, 4, 3, seed=3),
@@ -333,6 +334,14 @@ class TestOrientation:
         assert np.max(np.abs(moved - lam)) <= 1e-12 * np.max(np.abs(lam))
 
     def test_wide_and_square_grids_keep_columns_first(self):
-        for K, N, T in ((3, 3, 2), (2, 5, 1), (4, 4, 2)):
+        for K, N, T in ((3, 3, 2), (2, 5, 1), (4, 4, 2), (5, 2, 1), (24, 4, 2)):
             stacked = build_stacked(generate_msd_case(K, N, T, seed=6))
             assert stacked.xpad.grid == (T + 1, N + N % 2, K + K % 2)
+
+    def test_unpadded_tall_grid_converts_by_reshape(self):
+        # K > N with nothing padded: the padded (t, j, i) order is the
+        # natural one, so operands are views, never gathered copies
+        xpad = build_stacked(generate_irrigation_case(24, 4, 3)).xpad
+        assert xpad.is_reshape
+        x = np.arange(float(xpad.dim))
+        assert np.shares_memory(xpad.pad(x), x)
