@@ -242,11 +242,19 @@ def _padded(problem, stacked=True):
     """
     msgs = []
     K, N, T = problem.K, problem.N, problem.T
+    if not all(isinstance(d, numbers.Integral) for d in (K, N, T)):
+        msgs.append(f"grid dimensions K={K!r} N={N!r} T={T!r} are not integers")
+        return msgs, None
     if K < 1 or N < 1 or T < 1:
         msgs.append(f"grid dimensions must be positive, got K={K} N={N} T={T}")
         return msgs, None
     if _count(problem.subsystems) != K or any(_count(r) != N for r in problem.subsystems):
         msgs.append("subsystem table does not match K x N")
+        return msgs, None
+    for i, j in np.ndindex(K, N):
+        if not isinstance(problem.sub(i, j), SubsystemData):
+            msgs.append(f"subsystems[{i}][{j}] is not a subsystem record")
+    if msgs:
         return msgs, None
 
     # every declared boundary trajectory that passes its checks, (T, width)
@@ -559,9 +567,10 @@ def problem_from_dict(data: dict) -> GridLQProblem:
     """Problem from its document form, decoding its structure only.
 
     Raises InvalidProblemError on another document type, a missing key or a
-    grid or subsystem dimension that is not an integer. Matrices, vectors
-    and tables pass through as written, for ``validate`` to check as it
-    checks an in-memory problem, with the same messages.
+    grid or subsystem dimension that is not an integer. Matrices, vectors,
+    tables and table entries that are not records pass through as written,
+    for ``validate`` to check as it checks an in-memory problem, with the
+    same messages.
     """
     if not isinstance(data, dict) or data.get("format") != "grid-lq-problem":
         raise InvalidProblemError("not a grid-lq-problem document")
@@ -569,7 +578,8 @@ def problem_from_dict(data: dict) -> GridLQProblem:
         K, N, T = (int(data[key]) for key in ("K", "N", "T"))
         table, bnd = data["subsystems"], data["boundary"]
         if isinstance(table, list) and all(isinstance(row, list) for row in table):
-            table = [[_record(rec) for rec in row] for row in table]
+            table = [[_record(rec) if isinstance(rec, dict) else rec for rec in row]
+                     for row in table]
         boundary = BoundaryData(bnd["init"], **{d: bnd.get(d) for d in DIRECTIONS})
     except KeyError as exc:
         raise InvalidProblemError(f"problem document lacks key {exc}") from exc

@@ -33,6 +33,10 @@ from .stencil import Stencil, shifted
 
 CENTRE = (0, 0, 0)
 
+# pairs of at most this many block rows are solved by their explicit inverse,
+# whose cost per unknown grows with depth; deeper ones sweep, keeping O(KNT)
+DENSE_PAIR_ROWS = 4
+
 
 class StackedSystem:
     """Stage-stacked constraint, input and cost operators on the padded
@@ -237,7 +241,7 @@ class PairSplitting:
     def factor(self):
         """Cholesky factors of every paired diagonal block, as one batched
         block tri-diagonal factorization over all (pair, stage), solving
-        natural-layout operands.
+        natural-layout operands: shallow pairs by their inverses, in one product.
 
         Block row r holds the 2 x 2 subsystems at positions 2r, 2r + 1 of a
         pair's two ``axis`` lines, ordered as ``_PairFactor`` permutes operands.
@@ -262,24 +266,49 @@ class _PairFactor(BlockTridiagCholesky):
     """The batched pair factor on natural-layout operands.
 
     Its block rows run over position pairs along the shorter grid axis, batch
-    axes (t, line pair), entries (line in pair, position in pair, entry):
-    ``solve`` copies a padded operand, read as (t, column pair, column, row
-    pair, row, entry, k), once into that ``order``, solving in place.
+    axes (t, line pair), entries (line in pair, position in pair, entry). A
+    solve takes the padded operand, read as (t, column pair, column, row pair,
+    row, entry, k), in one transpose into ``order``: when shallow, the padded
+    pair order (t, line pair, pair entry), a reshape for column pairs, times
+    ``inverse``, each pair block's inverse swept from the identity in that
+    order and symmetrized, which replaces the sweep's blocks; when deeper than
+    DENSE_PAIR_ROWS block rows, the block-row order, copied and swept in place.
     """
 
     def __init__(self, diag, sub, padding, axis):
         super().__init__(diag, sub)
-        self.padding = padding
+        stages, cols, rows, nb = padding.shape
+        self.padding, self.inverse = padding, None
+        self.split = (stages, cols // 2, 2, rows // 2, 2, nb)
         self.order = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (1, 0, 3, 4, 2, 5, 6)
         self.back = tuple(np.argsort(self.order))
+        if self.shape[0] <= DENSE_PAIR_ROWS:
+            order = (0, 1, 2, 3, 4, 5, 6) if axis == 1 else (0, 3, 1, 2, 4, 5, 6)
+            pair, b = tuple(self.split[a] for a in order[:6]), self.shape[0] * self.shape[-1]
+            eye = np.broadcast_to(np.eye(b), pair[:2] + (b, b)).reshape(pair + (b,))
+            inv = self._swept(eye.transpose(np.argsort(order))).transpose(order)
+            inv = inv.reshape(pair[:2] + (b, b))
+            self.inverse = 0.5 * (inv + transposed(inv))
+            self.factor_flops += self.solve_flops * b
+            self.solve_flops = self.inverse.size
+            self.order, self.back = order, tuple(np.argsort(order))
+            del self.linv, self.coupling
+
+    def _swept(self, bp):
+        work = bp.transpose(self.order).copy()
+        self.sweep(work.reshape(self.shape + (-1,)))
+        return work.transpose(self.back)
 
     def solve(self, b):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
-        stages, cols, rows, nb = self.padding.shape
-        bp = self.padding.pad(b).reshape(stages, cols // 2, 2, rows // 2, 2, nb, -1)
-        work = bp.transpose(self.order).copy()
-        self.sweep(work.reshape(self.shape + (-1,)))
-        return self.padding.unpad(work.transpose(self.back), np.ndim(b) == 1)
+        bp = self.padding.pad(b).reshape(self.split + (-1,))
+        if self.inverse is None:
+            out = self._swept(bp)
+        else:
+            x = bp.transpose(self.order)
+            out = self.inverse @ x.reshape(x.shape[:2] + (-1, x.shape[-1]))
+            out = out.reshape(x.shape).transpose(self.back)
+        return self.padding.unpad(out, np.ndim(b) == 1)
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:

@@ -2,7 +2,8 @@
 
 One outer sweep refreshes the right-hand side through the stage couplings;
 each outer sweep runs a fixed number of inner sweeps whose pair-diagonal
-solves are one batched block tri-diagonal solve over every (pair, stage).
+solves are one batched solve over every (pair, stage): one product with the
+inverses of shallow pairs, a block tri-diagonal sweep on deep ones.
 Run with fixed budgets from a zero start the sweeps are a linear, symmetric
 positive definite map and serve as the conjugate gradient preconditioner;
 the positive definiteness needs an even inner budget, which ``apply``

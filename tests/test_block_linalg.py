@@ -14,8 +14,11 @@ from gridlq import (
     generate_irrigation_case,
     generate_msd_case,
 )
-from gridlq.block_linalg import lower_triangular_inverse, spd_inverse
+from gridlq.block_linalg import lower_triangular_inverse, spd_inverse, transposed
+from gridlq.kkt_assembly import DENSE_PAIR_ROWS
 from gridlq.stencil import Padding, Stencil, window
+
+from test_property_oracle import random_problem
 
 
 def random_spd(rng, n):
@@ -185,7 +188,8 @@ class TestBlockBanded:
         # the factor pairs rows and columns into 4-block rows internally;
         # solving the pair diagonal's own natural-layout products must give
         # back the operand, one column or several
-        for dims in ((3, 3, 2), (4, 2, 1), (1, 1, 1), (5, 4, 2)):
+        # shallow shapes take the explicit inverse, deep ones the sweep
+        for dims in ((3, 3, 2), (4, 2, 1), (1, 1, 1), (5, 4, 2), (10, 9, 1), (12, 10, 1)):
             op = build_schur(build_stacked(generate_msd_case(*dims, seed=8)))
             split = build_splitting(op)
             phi = split.densify_pair_diag(5000)
@@ -195,13 +199,15 @@ class TestBlockBanded:
             assert np.max(np.abs(factor.solve(phi @ x) - x)) < 1e-10
 
     def test_pair_solve_equals_generic_solve_bitwise(self):
-        # reference: pad, permute into block-row order, the generic factor
+        # pairs deeper than DENSE_PAIR_ROWS block rows keep the sweep.
+        # Reference: pad, permute into block-row order, the generic factor
         # solve, permute back; the pair factor's own layout work must not
         # change a bit of that
         rng = np.random.default_rng(20)
-        for dims in ((3, 3, 2), (4, 2, 1), (5, 4, 2)):
+        for dims in ((10, 9, 1), (12, 10, 1)):
             op = build_schur(build_stacked(generate_msd_case(*dims, seed=20)))
             factor = build_splitting(op).factor()
+            assert factor.shape[0] > DENSE_PAIR_ROWS and factor.inverse is None
             T1, Np, Kp, nb = op.padding.shape
             if dims[0] > dims[1]:
                 # row pairs: block rows over column pairs, batch (t, row pair),
@@ -220,6 +226,29 @@ class TestBlockBanded:
                 y = BlockTridiagCholesky.solve(factor, rows)
                 y = y.reshape(lead + (2, 2, nb, -1)).transpose(back)
                 assert np.array_equal(factor.solve(x), op.padding.unpad(y, x.ndim == 1))
+
+    def test_shallow_pair_solve_is_one_symmetric_inverse(self):
+        # at most DENSE_PAIR_ROWS block rows: one product with every pair
+        # block's explicit inverse, which must solve the pair diagonal to
+        # rounding and be exactly symmetric, padded or not, rows or columns
+        rng = np.random.default_rng(22)
+        for problem in (generate_msd_case(3, 3, 2, seed=22), generate_msd_case(4, 2, 1, seed=22),
+                        generate_msd_case(5, 4, 2, seed=22),
+                        generate_irrigation_case(24, 4, 2, seed=22),
+                        random_problem(5, 3, 2, True, seed=5)):  # mixed n and m
+            op = build_schur(build_stacked(problem))
+            split = build_splitting(op)
+            factor = split.factor()
+            assert factor.shape[0] <= DENSE_PAIR_ROWS
+            assert np.array_equal(factor.inverse, transposed(factor.inverse))
+            assert factor.solve_flops == factor.inverse.size
+            phi = split.densify_pair_diag(5000)
+            x = rng.standard_normal((op.dim, 3))
+            for b in (x[:, 0], x):
+                want = np.linalg.solve(phi, b)
+                got = factor.solve(b)
+                assert got.shape == b.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_matvec_flops_counts_blocks(self):
         pad = Padding([[2, 2], [2, 2]], 1)

@@ -145,8 +145,11 @@ class TestRun:
         def null_matrices(doc):
             doc["subsystems"][0][0]["A"] = None
 
+        def number_record(doc):
+            doc["subsystems"][0][0] = 5
+
         for corrupt in (missing_boundary, ragged_row, wrong_type, ragged_matrix,
-                        short_boundary, empty_trajectory, null_matrices):
+                        short_boundary, empty_trajectory, null_matrices, number_record):
             doc = problem_to_dict(generate_msd_case(2, 2, 2, seed=0))
             corrupt(doc)
             path = tmp_path / "bad.json"

@@ -146,6 +146,11 @@ class TestValidate:
         assert "subsystem (1, 1): dimensions n='four' m=2 are not integers" in validate(p)
         with pytest.raises(InvalidProblemError):
             build_stacked(p)
+        p = generate_msd_case(2, 2, 2, seed=0)
+        p.T = None
+        assert validate(p) == ["grid dimensions K=2 N=2 T=None are not integers"]
+        with pytest.raises(InvalidProblemError):
+            build_stacked(p)
 
     def test_flags_coupling_dimension(self):
         p = generate_msd_case(2, 3, 2, seed=0)
@@ -394,9 +399,10 @@ class TestProblemFiles:
         (("boundary", "init", 0), 5, ["boundary.init does not match K x N"]),
         (("boundary", "init", 0), [[0.0] * 4] * 2, ["boundary.init does not match K x N"]),
         (("subsystems",), 5, ["subsystem table does not match K x N"]),
+        (("subsystems", 0, 0), 5, ["subsystems[0][0] is not a subsystem record"]),
     ], ids=["ragged_matrix", "number_matrices", "number_coupling", "number_trajectories",
             "number_trajectory", "number_init", "number_init_row", "ragged_table",
-            "number_table"])
+            "number_table", "number_record"])
     def test_file_and_memory_messages_agree(self, path, value, want):
         # the document decoder passes values through, so validate sees a
         # corrupted file exactly as it sees the same corruption in memory

@@ -300,6 +300,19 @@ class TestBookkeeping:
         ratio = flops(8) / flops(4)
         assert 0.8 * 2 <= ratio <= 1.3 * 2
 
+    def test_step_flops_per_unknown_stay_bounded_with_depth(self):
+        # shallow pairs use a dense inverse, whose cost per unknown grows
+        # with the depth; its cap keeps a step O(KNT) on square grids,
+        # which criterion 8 cannot see: it grows one axis at a time
+        per_unknown = []
+        for size in (4, 8, 16, 32):
+            stacked = build_stacked(generate_msd_case(size, size, 2, seed=0))
+            op = build_schur(stacked)
+            with pytest.raises(MaxIterationsExceeded) as exc:
+                pcg_solve(op, NestedJacobiPreconditioner(op), stacked.offset, max_steps=3)
+            per_unknown.append(exc.value.report.flops_per_step / op.dim)
+        assert max(per_unknown) <= 1.5 * min(per_unknown)
+
 
 class TestOrientation:
     """The padded grid is (t, j, i) for every grid shape; with K > N the
