@@ -557,8 +557,8 @@ def problem_to_dict(problem: GridLQProblem) -> dict:
 
 
 def _record(rec):
-    """Subsystem of a document record: integer n and m, the rest as written."""
-    return SubsystemData(n=int(rec["n"]), m=int(rec["m"]),
+    """Subsystem of a document record, every field as written."""
+    return SubsystemData(n=rec["n"], m=rec["m"],
                          **{field: rec[field] for field in ("A", "B", "Q", "R")},
                          **{d: rec.get(d) for d in DIRECTIONS})
 
@@ -566,16 +566,15 @@ def _record(rec):
 def problem_from_dict(data: dict) -> GridLQProblem:
     """Problem from its document form, decoding its structure only.
 
-    Raises InvalidProblemError on another document type, a missing key or a
-    grid or subsystem dimension that is not an integer. Matrices, vectors,
-    tables and table entries that are not records pass through as written,
-    for ``validate`` to check as it checks an in-memory problem, with the
-    same messages.
+    Raises InvalidProblemError on another document type or a missing key.
+    Sizes, matrices, vectors, tables and table entries that are not records
+    pass through as written, for ``validate`` to check as it checks an
+    in-memory problem, with the same messages.
     """
     if not isinstance(data, dict) or data.get("format") != "grid-lq-problem":
         raise InvalidProblemError("not a grid-lq-problem document")
     try:
-        K, N, T = (int(data[key]) for key in ("K", "N", "T"))
+        K, N, T = (data[key] for key in ("K", "N", "T"))
         table, bnd = data["subsystems"], data["boundary"]
         if isinstance(table, list) and all(isinstance(row, list) for row in table):
             table = [[_record(rec) if isinstance(rec, dict) else rec for rec in row]
@@ -583,7 +582,7 @@ def problem_from_dict(data: dict) -> GridLQProblem:
         boundary = BoundaryData(bnd["init"], **{d: bnd.get(d) for d in DIRECTIONS})
     except KeyError as exc:
         raise InvalidProblemError(f"problem document lacks key {exc}") from exc
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError) as exc:
         raise InvalidProblemError(f"malformed problem document: {exc}") from exc
     return GridLQProblem(K, N, T, table, boundary)
 

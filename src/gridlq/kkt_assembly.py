@@ -5,14 +5,16 @@ the stacked quadratic program leaves one SPD system in the constraint
 multipliers. Its operator is block tri-diagonal across stages; every stage
 diagonal is a 13-offset stencil of small dense blocks over (column, row),
 and adjacent stages couple through a 5-offset stencil and its transpose.
-This module assembles that operator (``SchurOperator``) as one ``Stencil``
-over the padded grid, from the arrays of ``grid_problem``'s checking pass
-(it reads no problem data itself), plus the two-level splitting used by the
-nested Jacobi sweeps (``PairSplitting``): consecutive lines along the longer
-grid axis are grouped into pairs, whose paired diagonal blocks become SPD
-block tri-diagonal matrices along the shorter axis, and the inter-pair
-couplings are applied on the fly. Only the splitting knows the pairing axis:
-its factor solves natural-layout operands.
+This module keeps the stacked system (``StackedSystem``) as data: padded
+stacks and the constraint stencil, from the arrays of ``grid_problem``'s
+checking pass (it reads no problem data itself). From them it assembles
+that operator (``SchurOperator``) as one ``Stencil`` over the padded grid,
+plus the two-level splitting used by the nested Jacobi sweeps
+(``PairSplitting``): consecutive lines along the longer grid axis are
+grouped into pairs, whose paired diagonal blocks become SPD block
+tri-diagonal matrices along the shorter axis, and the inter-pair couplings
+are applied on the fly. Only the splitting knows the pairing axis: its
+factor builds its own blocks and solves natural-layout operands.
 
 Sign conventions: the multiplier system is ``delta_op @ lam = offset`` and
 the primal recovery is ``x = -Qinv (A' lam)``, ``u = -Rinv (B' lam)``,
@@ -41,48 +43,22 @@ DENSE_PAIR_ROWS = 4
 class StackedSystem:
     """Stage-stacked constraint, input and cost operators on the padded
     grid, plus the natural-layout offset vector collecting initial and
-    boundary data.
+    boundary data. It holds data only: ``recovery`` pads its operands once
+    and works on these padded stacks directly.
 
-    ``constraint`` is the stacked constraint map as a stencil: -I at offset
+    ``constraint`` is the stacked constraint map as a stencil, whose stage 0
+    row is -x_0 and stage t + 1 row A_t x_t - x_{t+1}: -I at offset
     (0, 0, 0) and the dynamics and couplings of stage t - 1 at offsets
-    (-1, dj, di). ``b``, ``q``, ``qinv``, ``r`` and ``rinv`` are block arrays
-    over padded (t, j, i); ``b`` and ``r`` have stages 0..T-1 and act on
-    inputs, laid out by ``upad``.
+    (-1, dj, di); ``constraint_t`` is its transpose. ``b``, ``q``, ``qinv``,
+    ``r`` and ``rinv`` are block arrays over padded (t, j, i); ``b`` and
+    ``r`` have stages 0..T-1 and act on inputs, laid out by ``upad``: the
+    input map is ``(b @ up)`` written into stages 1..T.
     """
 
     def __init__(self, layout, xpad, upad, constraint, b, q, qinv, r, rinv, offset):
         self.layout, self.xpad, self.upad = layout, xpad, upad
         self.constraint, self.constraint_t = constraint, constraint.transpose()
         self.b, self.q, self.qinv, self.r, self.rinv, self.offset = b, q, qinv, r, rinv, offset
-
-    def apply_constraint(self, x):
-        """Stacked constraint map: stage 0 row is -x_0, stage t+1 row is
-        A_t x_t - x_{t+1}."""
-        return self.constraint.apply(x)
-
-    def apply_constraint_t(self, d):
-        return self.constraint_t.apply(d)
-
-    def apply_input_map(self, u):
-        up = self.upad.pad(u)
-        out = np.zeros(self.xpad.shape + up.shape[-1:])
-        out[1:] = self.b @ up
-        return self.xpad.unpad(out, np.ndim(u) == 1)
-
-    def apply_input_map_t(self, d):
-        return self.upad.unpad(transposed(self.b) @ self.xpad.pad(d)[1:], np.ndim(d) == 1)
-
-    def apply_cost_x(self, x):
-        return self.xpad.unpad(self.q @ self.xpad.pad(x), np.ndim(x) == 1)
-
-    def apply_cost_inverse_x(self, x):
-        return self.xpad.unpad(self.qinv @ self.xpad.pad(x), np.ndim(x) == 1)
-
-    def apply_cost_u(self, u):
-        return self.upad.unpad(self.r @ self.upad.pad(u), np.ndim(u) == 1)
-
-    def apply_cost_inverse_u(self, u):
-        return self.upad.unpad(self.rinv @ self.upad.pad(u), np.ndim(u) == 1)
 
 
 def build_stacked(problem: GridLQProblem) -> StackedSystem:
@@ -239,18 +215,34 @@ class PairSplitting:
         return self.pair_diag.densify()
 
     def factor(self):
-        """Cholesky factors of every paired diagonal block, as one batched
-        block tri-diagonal factorization over all (pair, stage), solving
-        natural-layout operands: shallow pairs by their inverses, in one product.
+        """The batched pair factor, solving natural-layout operands."""
+        return _PairFactor(self.schur.diag, self.axis)
 
-        Block row r holds the 2 x 2 subsystems at positions 2r, 2r + 1 of a
-        pair's two ``axis`` lines, ordered as ``_PairFactor`` permutes operands.
-        """
-        pad, axis = self.schur.padding, self.axis
+
+class _PairFactor:
+    """Factor of every paired diagonal block over all (pair, stage), solving
+    natural-layout operands.
+
+    It assembles each pair block as a block tri-diagonal matrix: block row r
+    holds the 2 x 2 subsystems at positions 2r, 2r + 1 along the shorter
+    grid axis of the pair's two ``axis`` lines, with batch axes (t, line
+    pair) and entries (line in pair, position in pair, entry). A pair of at
+    most DENSE_PAIR_ROWS block rows keeps only ``inverse``: each block's
+    inverse, swept from the identity through its Cholesky factor, read in
+    the padded pair order (t, line pair, pair entry) and symmetrized, applied
+    in one product. A deeper pair keeps the ``BlockTridiagCholesky`` as
+    ``cholesky`` and sweeps. A solve reads the padded operand as (t, column
+    pair, column, row pair, row, entry, k) and transposes it into ``order``,
+    the pair order or the block-row order: for column pairs, the pair order
+    is a reshape.
+    """
+
+    def __init__(self, diag, axis):
+        self.padding = pad = diag.padding
         stages, lines, depth, nb = (pad.shape[a] for a in (0, axis, 3 - axis, 3))
         # [0] diagonal blocks, [1] blocks coupling block row r to r - 1
         blocks = np.zeros((2, depth // 2, stages, lines // 2, 2, 2, nb, 2, 2, nb))
-        for o, w in self.schur.diag.weights.items():
+        for o, w in diag.weights.items():
             dc, da, w = o[axis], o[3 - axis], w.swapaxes(1, axis)
             for c in range(max(0, -dc), min(2, 2 - dc)):
                 for a in (0, 1):
@@ -259,56 +251,36 @@ class PairSplitting:
                         blocks[-s][..., c, a, :, c + dc, a2, :] = w[:, c::2, a::2].transpose(
                             2, 0, 1, 3, 4)
         blocks = blocks.reshape(2, depth // 2, stages, lines // 2, 4 * nb, 4 * nb)
-        return _PairFactor(blocks[0], blocks[1], pad, axis)
-
-
-class _PairFactor(BlockTridiagCholesky):
-    """The batched pair factor on natural-layout operands.
-
-    Its block rows run over position pairs along the shorter grid axis, batch
-    axes (t, line pair), entries (line in pair, position in pair, entry). A
-    solve takes the padded operand, read as (t, column pair, column, row pair,
-    row, entry, k), in one transpose into ``order``: when shallow, the padded
-    pair order (t, line pair, pair entry), a reshape for column pairs, times
-    ``inverse``, each pair block's inverse swept from the identity in that
-    order and symmetrized, which replaces the sweep's blocks; when deeper than
-    DENSE_PAIR_ROWS block rows, the block-row order, copied and swept in place.
-    """
-
-    def __init__(self, diag, sub, padding, axis):
-        super().__init__(diag, sub)
-        stages, cols, rows, nb = padding.shape
-        self.padding, self.inverse = padding, None
-        self.split = (stages, cols // 2, 2, rows // 2, 2, nb)
-        self.order = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (1, 0, 3, 4, 2, 5, 6)
+        cholesky = BlockTridiagCholesky(blocks[0], blocks[1])
+        self.shape, self.factor_flops = cholesky.shape, cholesky.factor_flops
+        self.split = split = (stages, pad.shape[1] // 2, 2, pad.shape[2] // 2, 2, nb)
+        row_order = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (1, 0, 3, 4, 2, 5, 6)
+        pair_order = (0, 1, 2, 3, 4, 5, 6) if axis == 1 else (0, 3, 1, 2, 4, 5, 6)
+        self.cholesky, self.inverse = None, None
+        if depth // 2 > DENSE_PAIR_ROWS:
+            self.cholesky, self.solve_flops, self.order = cholesky, cholesky.solve_flops, row_order
+        else:
+            # the identity's columns in the pair order, swept in block-row order
+            b = depth // 2 * 4 * nb
+            eye = np.broadcast_to(np.eye(b), (stages, lines // 2, b, b))
+            work = eye.reshape(tuple(split[a] for a in pair_order[:6]) + (b,))
+            work = work.transpose(np.argsort(pair_order)).transpose(row_order).copy()
+            cholesky.sweep(work.reshape(self.shape + (-1,)))
+            work = work.transpose(np.argsort(row_order)).transpose(pair_order).reshape(eye.shape)
+            self.inverse = 0.5 * (work + transposed(work))
+            self.factor_flops += cholesky.solve_flops * b
+            self.solve_flops, self.order = self.inverse.size, pair_order
         self.back = tuple(np.argsort(self.order))
-        if self.shape[0] <= DENSE_PAIR_ROWS:
-            order = (0, 1, 2, 3, 4, 5, 6) if axis == 1 else (0, 3, 1, 2, 4, 5, 6)
-            pair, b = tuple(self.split[a] for a in order[:6]), self.shape[0] * self.shape[-1]
-            eye = np.broadcast_to(np.eye(b), pair[:2] + (b, b)).reshape(pair + (b,))
-            inv = self._swept(eye.transpose(np.argsort(order))).transpose(order)
-            inv = inv.reshape(pair[:2] + (b, b))
-            self.inverse = 0.5 * (inv + transposed(inv))
-            self.factor_flops += self.solve_flops * b
-            self.solve_flops = self.inverse.size
-            self.order, self.back = order, tuple(np.argsort(order))
-            del self.linv, self.coupling
-
-    def _swept(self, bp):
-        work = bp.transpose(self.order).copy()
-        self.sweep(work.reshape(self.shape + (-1,)))
-        return work.transpose(self.back)
 
     def solve(self, b):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
-        bp = self.padding.pad(b).reshape(self.split + (-1,))
+        x = self.padding.pad(b).reshape(self.split + (-1,)).transpose(self.order)
         if self.inverse is None:
-            out = self._swept(bp)
+            x = x.copy()
+            self.cholesky.sweep(x.reshape(self.shape + (-1,)))
         else:
-            x = bp.transpose(self.order)
-            out = self.inverse @ x.reshape(x.shape[:2] + (-1, x.shape[-1]))
-            out = out.reshape(x.shape).transpose(self.back)
-        return self.padding.unpad(out, np.ndim(b) == 1)
+            x = (self.inverse @ x.reshape(x.shape[:2] + (-1, x.shape[-1]))).reshape(x.shape)
+        return self.padding.unpad(x.transpose(self.back), np.ndim(b) == 1)
 
 
 def build_splitting(schur: SchurOperator) -> PairSplitting:

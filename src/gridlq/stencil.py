@@ -129,13 +129,15 @@ class Stencil:
         inside = np.all((src >= 0) & (src < np.reshape(grid, (3, 1, 1))), axis=0)
         return np.where(inside, np.ravel_multi_index(src, grid, mode="clip"), math.prod(grid))
 
-    def apply(self, x):
-        """Product with a natural-layout operand (dim,) or (dim, k)."""
-        xp = self.padding.pad(x)
+    def product(self, xp):
+        """Product with a padded operand, shape ``padding.shape + (k,)``."""
         rows = xp.reshape(math.prod(xp.shape[:3]), -1)
         rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))]).take(self.gather, axis=0)
-        out = self.fused @ rows.reshape(xp.shape[:3] + (-1, xp.shape[-1]))
-        return self.padding.unpad(out, np.ndim(x) == 1)
+        return self.fused @ rows.reshape(xp.shape[:3] + (-1, xp.shape[-1]))
+
+    def apply(self, x):
+        """Product with a natural-layout operand (dim,) or (dim, k)."""
+        return self.padding.unpad(self.product(self.padding.pad(x)), np.ndim(x) == 1)
 
     def transpose(self):
         """The transposed operator: offset -o carries the transposed blocks

@@ -207,7 +207,8 @@ class TestBlockBanded:
         for dims in ((10, 9, 1), (12, 10, 1)):
             op = build_schur(build_stacked(generate_msd_case(*dims, seed=20)))
             factor = build_splitting(op).factor()
-            assert factor.shape[0] > DENSE_PAIR_ROWS and factor.inverse is None
+            assert factor.shape[0] > DENSE_PAIR_ROWS
+            assert factor.inverse is None and isinstance(factor.cholesky, BlockTridiagCholesky)
             T1, Np, Kp, nb = op.padding.shape
             if dims[0] > dims[1]:
                 # row pairs: block rows over column pairs, batch (t, row pair),
@@ -223,7 +224,7 @@ class TestBlockBanded:
                 # padded (t, j, i) read as (t, column pair, column, row pair, row, entry, k)
                 bp = op.padding.pad(x).reshape(T1, Np // 2, 2, Kp // 2, 2, nb, -1)
                 rows = bp.transpose(to_rows).reshape(op.padding.size, -1)
-                y = BlockTridiagCholesky.solve(factor, rows)
+                y = factor.cholesky.solve(rows)
                 y = y.reshape(lead + (2, 2, nb, -1)).transpose(back)
                 assert np.array_equal(factor.solve(x), op.padding.unpad(y, x.ndim == 1))
 
@@ -240,6 +241,7 @@ class TestBlockBanded:
             split = build_splitting(op)
             factor = split.factor()
             assert factor.shape[0] <= DENSE_PAIR_ROWS
+            assert factor.cholesky is None and factor.inverse is not None
             assert np.array_equal(factor.inverse, transposed(factor.inverse))
             assert factor.solve_flops == factor.inverse.size
             phi = split.densify_pair_diag(5000)

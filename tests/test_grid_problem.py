@@ -375,6 +375,8 @@ class TestProblemFiles:
 
     @pytest.mark.parametrize("corrupt", ["missing_key", "wrong_type", "infinite_size"])
     def test_malformed_documents_raise_invalid_problem(self, corrupt):
+        # the decoder rejects a missing key; sizes pass through it to the
+        # checking pass that build_stacked runs
         doc = problem_to_dict(generate_msd_case(2, 3, 2, seed=0))
         if corrupt == "missing_key":
             del doc["subsystems"][1][2]["Q"]
@@ -383,7 +385,7 @@ class TestProblemFiles:
         else:
             doc["K"] = float("inf")  # json.load reads Infinity
         with pytest.raises(InvalidProblemError) as info:
-            problem_from_dict(doc)
+            build_stacked(problem_from_dict(doc))
         assert isinstance(info.value, GridLQError)
 
     @pytest.mark.parametrize("path, value, want", [
@@ -400,9 +402,20 @@ class TestProblemFiles:
         (("boundary", "init", 0), [[0.0] * 4] * 2, ["boundary.init does not match K x N"]),
         (("subsystems",), 5, ["subsystem table does not match K x N"]),
         (("subsystems", 0, 0), 5, ["subsystems[0][0] is not a subsystem record"]),
+        (("T",), None, ["grid dimensions K=2 N=3 T=None are not integers"]),
+        (("T",), 2.5, ["grid dimensions K=2 N=3 T=2.5 are not integers"]),
+        (("N",), "3", ["grid dimensions K=2 N='3' T=2 are not integers"]),
+        (("subsystems", 1, 2, "n"), 4.5, [
+            *(f"subsystem {at}: {d} coupling[{t}] shape (4, 4), expected (4, 4.5)"
+              for at, d in (("(0, 2)", "south"), ("(1, 1)", "east")) for t in range(2)),
+            "subsystem (1, 2): dimensions n=4.5 m=2 are not integers",
+            "initial state (1, 2): shape (4,), expected (4.5,)"]),
+        (("subsystems", 0, 0, "m"), "2",
+         ["subsystem (0, 0): dimensions n=4 m='2' are not integers"]),
     ], ids=["ragged_matrix", "number_matrices", "number_coupling", "number_trajectories",
             "number_trajectory", "number_init", "number_init_row", "ragged_table",
-            "number_table", "number_record"])
+            "number_table", "number_record", "null_size", "fractional_size", "string_size",
+            "fractional_n", "string_m"])
     def test_file_and_memory_messages_agree(self, path, value, want):
         # the document decoder passes values through, so validate sees a
         # corrupted file exactly as it sees the same corruption in memory

@@ -16,7 +16,7 @@ from gridlq import (
     reference_stage_block,
 )
 from gridlq import block_linalg, grid_problem
-from gridlq.block_linalg import spd_inverse
+from gridlq.block_linalg import spd_inverse, transposed
 from gridlq.oracle import _dense_kkt
 
 from conftest import (
@@ -69,19 +69,32 @@ class TestBuildStacked:
         assert np.array_equal(s.offset, np.zeros_like(s.offset))
 
     def test_constraint_matches_dense_oracle(self, msd_333_ops):
+        # recovery reads the stacks directly: the constraint stencil, its
+        # transpose, and b, written into stages 1..T and read back from them
         problem, stacked, _ = msd_333_ops
-        lay = stacked.layout
+        lay, xpad, upad = stacked.layout, stacked.xpad, stacked.upad
         a, b, _, _, off = _dense_kkt(problem, lay)
+
+        def input_map(u):
+            out = np.zeros(xpad.shape + (u.shape[1],))
+            out[1:] = stacked.b @ upad.pad(u)
+            return xpad.unpad(out, False)
+
+        def input_map_t(x):
+            return upad.unpad(transposed(stacked.b) @ xpad.pad(x)[1:], False)
+
         assert np.max(np.abs(stacked.constraint.densify() - a)) == 0.0
-        assert np.max(np.abs(stacked.apply_input_map(np.eye(lay.m_total)) - b)) == 0.0
+        assert np.max(np.abs(stacked.constraint_t.densify() - a.T)) == 0.0
+        assert np.max(np.abs(input_map(np.eye(lay.m_total)) - b)) == 0.0
+        assert np.max(np.abs(input_map_t(np.eye(lay.n_total)) - b.T)) == 0.0
         assert np.array_equal(stacked.offset, off)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(lay.n_total)
-        u = rng.standard_normal(lay.m_total)
-        assert np.max(np.abs(stacked.apply_constraint(x) - a @ x)) < 1e-12
-        assert np.max(np.abs(stacked.apply_constraint_t(x) - a.T @ x)) < 1e-12
-        assert np.max(np.abs(stacked.apply_input_map(u) - b @ u)) < 1e-12
-        assert np.max(np.abs(stacked.apply_input_map_t(x) - b.T @ x)) < 1e-12
+        x = rng.standard_normal((lay.n_total, 1))
+        u = rng.standard_normal((lay.m_total, 1))
+        assert np.max(np.abs(stacked.constraint.apply(x[:, 0]) - a @ x[:, 0])) < 1e-12
+        assert np.max(np.abs(stacked.constraint_t.apply(x[:, 0]) - a.T @ x[:, 0])) < 1e-12
+        assert np.max(np.abs(input_map(u) - b @ u)) < 1e-12
+        assert np.max(np.abs(input_map_t(x) - b.T @ x)) < 1e-12
 
     def test_stage_map_is_tridiagonal_of_tridiagonal(self):
         p = generate_msd_case(2, 2, 2, seed=0)

@@ -22,6 +22,7 @@ from gridlq import (
     simulate_states,
     splitting_spectral_radii,
 )
+from gridlq.stencil import Padding
 
 from conftest import make_boundary_problem, make_uncoupled_problem
 
@@ -92,6 +93,19 @@ class TestKktResidual:
         stacked = build_stacked(p)
         sol = recover_solution(stacked, np.zeros(stacked.layout.n_total))
         assert kkt_residual(stacked, sol) == (0.0, 0.0, 0.0)
+
+    def test_recovery_pads_each_operand_once(self, monkeypatch):
+        # both work on the padded stacks: recovery pads the multipliers
+        # once, the residuals pad the multipliers, x and u once each
+        stacked = build_stacked(generate_msd_case(3, 2, 2, seed=1))
+        lay, pad, shapes = stacked.layout, Padding.pad, []
+        monkeypatch.setattr(Padding, "pad", lambda self, x: shapes.append(np.shape(x))
+                            or pad(self, x))
+        sol = recover_solution(stacked, np.ones(lay.n_total))
+        assert shapes == [(lay.n_total,)]
+        shapes.clear()
+        kkt_residual(stacked, sol)
+        assert shapes == [(lay.n_total,), (lay.n_total,), (lay.m_total,)]
 
 
 class TestSimulateStates:
