@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -185,6 +185,11 @@ def _count(x):
         return "no"
 
 
+def _size(v):
+    """Whether ``v`` can be a size: an integer, and not a boolean."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _checked(seq, count, shape, what, msgs):
     """``seq`` as one float array of ``count`` matrices of ``shape``, or None
     after recording why it is not one: a missing list, wrong stage count,
@@ -242,7 +247,7 @@ def _padded(problem, stacked=True):
     """
     msgs = []
     K, N, T = problem.K, problem.N, problem.T
-    if not all(isinstance(d, numbers.Integral) for d in (K, N, T)):
+    if not all(map(_size, (K, N, T))):
         msgs.append(f"grid dimensions K={K!r} N={N!r} T={T!r} are not integers")
         return msgs, None
     if K < 1 or N < 1 or T < 1:
@@ -274,17 +279,21 @@ def _padded(problem, stacked=True):
             elif (sig := _checked(seq, T, shape, what, msgs)) is not None:
                 trajectories[direction, idx] = sig
 
+    # (n, m) of every subsystem whose sizes pass; a failing size is reported
+    # at its place in the loop below, and nothing is checked against it
+    dims = {(i, j): (sub.n, sub.m) for i, row in enumerate(problem.subsystems)
+            for j, sub in enumerate(row)
+            if _size(sub.n) and _size(sub.m) and sub.n >= 1 and sub.m >= 1}
     # (field, i, j, checked array), written into the stacks once all checks
     # hold; an "offset" array is an initial state or a (T, n) boundary term
     fills = []
     for i, j in np.ndindex(K, N):
         sub, tag = problem.sub(i, j), f"subsystem ({i}, {j})"
         n, m = sub.n, sub.m
-        if not (isinstance(n, numbers.Integral) and isinstance(m, numbers.Integral)):
-            msgs.append(f"{tag}: dimensions n={n!r} m={m!r} are not integers")
-            continue
-        if n < 1 or m < 1:
-            msgs.append(f"{tag}: dimensions n={n} m={m} must be positive")
+        if (i, j) not in dims:
+            msgs.append(f"{tag}: dimensions n={n} m={m} must be positive"
+                        if _size(n) and _size(m) else
+                        f"{tag}: dimensions n={n!r} m={m!r} are not integers")
             continue
         for field, count, shape in (("A", T, (n, n)), ("B", T, (n, m)),
                                     ("Q", T + 1, (n, n)), ("R", T, (m, m))):
@@ -296,8 +305,10 @@ def _padded(problem, stacked=True):
             blocks, sig = sub.coupling(direction), None
             if blocks is None:
                 continue
-            if 0 <= i + di < K and 0 <= j + dj < N:
-                want = problem.sub(i + di, j + dj).n
+            if (i + di, j + dj) in dims:
+                want = dims[i + di, j + dj][0]
+            elif 0 <= i + di < K and 0 <= j + dj < N:
+                continue  # the neighbour's size failed, already reported
             elif getattr(problem.boundary, direction) is None:
                 msgs.append(f"{tag}: {direction} coupling points off-grid "
                             "but no boundary trajectory is declared")
@@ -316,10 +327,9 @@ def _padded(problem, stacked=True):
     if _count(init) != K or any(_count(r) != N for r in init):
         msgs.append("boundary.init does not match K x N")
     else:
-        for i, j in np.ndindex(K, N):
-            got, want = _shape(init[i][j]), (problem.sub(i, j).n,)
-            if got != want:
-                msgs.append(f"initial state ({i}, {j}): shape {got}, expected {want}")
+        for (i, j), (n, _) in dims.items():
+            if (got := _shape(init[i][j])) != (n,):
+                msgs.append(f"initial state ({i}, {j}): shape {got}, expected {(n,)}")
                 continue
             try:
                 x0 = np.asarray(init[i][j], dtype=float)
@@ -332,7 +342,7 @@ def _padded(problem, stacked=True):
 
     if msgs:
         return msgs, None
-    sizes = np.array([[(sub.n, sub.m) for sub in row] for row in problem.subsystems])
+    sizes = np.array([*dims.values()]).reshape(K, N, 2)
     xpad, upad = Padding(sizes[..., 0], T + 1), Padding(sizes[..., 1], T)
     nb, mb, grid = xpad.block, upad.block, xpad.grid[1:]
     stacks = {"Q": np.tile(np.eye(nb), (T + 1, *grid, 1, 1)),
@@ -375,6 +385,21 @@ def validate(problem: GridLQProblem) -> list:
 # generators
 
 
+def _uniform(n, m, T, a, b, q, r, couplings):
+    """Subsystem whose matrices are the same at every stage; ``couplings``
+    maps directions to a coupling matrix, or to None for no coupling."""
+    return SubsystemData(n, m, [a] * T, [b] * T, [q] * (T + 1), [r] * T,
+                         **{d: None if c is None else [c] * T for d, c in couplings.items()})
+
+
+def _grid(K, N, T, node):
+    """Problem whose subsystem (i, j) and initial state are ``node(i, j)``,
+    called in row-major order."""
+    cells = [[node(i, j) for j in range(N)] for i in range(K)]
+    return GridLQProblem(K, N, T, [[sub for sub, _ in row] for row in cells],
+                         BoundaryData(init=[[x0 for _, x0 in row] for row in cells]))
+
+
 def generate_msd_case(K, N, T, seed) -> GridLQProblem:
     """Heterogeneous planar mass-spring-damper grid.
 
@@ -395,54 +420,21 @@ def generate_msd_case(K, N, T, seed) -> GridLQProblem:
     q_mat = np.eye(4)
     r_mat = 2.0 * np.eye(2)
 
-    subsystems = []
-    init = []
-    for i in range(K):
-        row = []
-        init_row = []
-        for j in range(N):
-            mass, stiff, damp = rng.uniform(0.8, 1.5, size=3)
-            gamma = rng.uniform(-1.0, 1.0, size=4)
-            a = 4.0 * stiff / mass
-            b = 4.0 * damp / mass
-            a_cont = np.array(
-                [
-                    [0.0, 1.0, 0.0, 0.0],
-                    [-a, -b, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 1.0],
-                    [0.0, 0.0, -a, -b],
-                ]
-            )
-            a_mat = np.eye(4) + h * a_cont
-            b_mat = h * np.array(
-                [[0.0, 0.0], [1.0 / mass, 0.0], [0.0, 0.0], [0.0, 1.0 / mass]]
-            )
-            couple = h * np.array(
-                [
-                    [0.0, 0.0, 0.0, 0.0],
-                    [stiff / mass, damp / mass, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, stiff / mass, damp / mass],
-                ]
-            )
-            row.append(
-                SubsystemData(
-                    n=4,
-                    m=2,
-                    A=[a_mat] * T,
-                    B=[b_mat] * T,
-                    Q=[q_mat] * (T + 1),
-                    R=[r_mat] * T,
-                    west=[couple] * T if j > 0 else None,
-                    east=[couple] * T if j < N - 1 else None,
-                    north=[couple] * T if i > 0 else None,
-                    south=[couple] * T if i < K - 1 else None,
-                )
-            )
-            init_row.append(gamma)
-        subsystems.append(row)
-        init.append(init_row)
-    return GridLQProblem(K, N, T, subsystems, BoundaryData(init=init))
+    def node(i, j):
+        mass, stiff, damp = rng.uniform(0.8, 1.5, size=3)
+        gamma = rng.uniform(-1.0, 1.0, size=4)
+        a = 4.0 * stiff / mass
+        b = 4.0 * damp / mass
+        a_cont = np.array([[0.0, 1.0, 0.0, 0.0], [-a, -b, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -a, -b]])
+        b_mat = h * np.array([[0.0, 0.0], [1.0 / mass, 0.0], [0.0, 0.0], [0.0, 1.0 / mass]])
+        couple = h * np.array([[0.0, 0.0, 0.0, 0.0], [stiff / mass, damp / mass, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, stiff / mass, damp / mass]])
+        return _uniform(4, 2, T, np.eye(4) + h * a_cont, b_mat, q_mat, r_mat,
+                        {d: couple if 0 <= i + di < K and 0 <= j + dj < N else None
+                         for d, (di, dj) in NEIGHBOURS.items()}), gamma
+
+    return _grid(K, N, T, node)
 
 
 def generate_irrigation_case(K, N, T, seed=None) -> GridLQProblem:
@@ -478,82 +470,36 @@ def generate_irrigation_case(K, N, T, seed=None) -> GridLQProblem:
     r_mat = np.array([[1.0]])
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    subsystems = []
-    init = []
-    for i in range(K):
-        row = []
-        init_row = []
-        for j in range(N):
-            row.append(
-                SubsystemData(
-                    n=4,
-                    m=1,
-                    A=[a_mat] * T,
-                    B=[b_mat] * T,
-                    Q=[q_mat] * (T + 1),
-                    R=[r_mat] * T,
-                    west=[couple] * T if (i == 0 and j > 0) else None,
-                    east=None,
-                    north=None,
-                    south=[couple] * T if i < K - 1 else None,
-                )
-            )
-            if rng is None:
-                gamma = np.array([1.0 / (1.0 + i + j), 0.0, 0.0, 0.0])
-            else:
-                gamma = rng.uniform(-1.0, 1.0, size=4)
-            init_row.append(gamma)
-        subsystems.append(row)
-        init.append(init_row)
-    return GridLQProblem(K, N, T, subsystems, BoundaryData(init=init))
+    def node(i, j):
+        x0 = (np.array([1.0 / (1.0 + i + j), 0.0, 0.0, 0.0]) if rng is None
+              else rng.uniform(-1.0, 1.0, size=4))
+        return _uniform(4, 1, T, a_mat, b_mat, q_mat, r_mat,
+                        {"west": couple if i == 0 and j > 0 else None,
+                         "south": couple if i < K - 1 else None}), x0
+
+    return _grid(K, N, T, node)
 
 
 # ---------------------------------------------------------------------------
 # problem files (JSON)
 
 
-def _mats_to_lists(seq):
-    if seq is None:
-        return None
-    return [np.asarray(m).tolist() for m in seq]
+def _plain(value):
+    """``value`` in document form: a dataclass as a dict of its fields in
+    declaration order, sequences as lists, arrays and numpy scalars as nested
+    lists and numbers."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def problem_to_dict(problem: GridLQProblem) -> dict:
-    subs = []
-    for i in range(problem.K):
-        row = []
-        for j in range(problem.N):
-            s = problem.sub(i, j)
-            row.append(
-                {
-                    "n": s.n,
-                    "m": s.m,
-                    "A": _mats_to_lists(s.A),
-                    "B": _mats_to_lists(s.B),
-                    "Q": _mats_to_lists(s.Q),
-                    "R": _mats_to_lists(s.R),
-                    **{d: _mats_to_lists(s.coupling(d)) for d in DIRECTIONS},
-                }
-            )
-        subs.append(row)
-    bnd = problem.boundary
-    return {
-        "format": "grid-lq-problem",
-        "version": 1,
-        "K": problem.K,
-        "N": problem.N,
-        "T": problem.T,
-        "subsystems": subs,
-        "boundary": {
-            "init": [[np.asarray(g).tolist() for g in row] for row in bnd.init],
-            **{
-                d: None
-                if getattr(bnd, d) is None
-                else [[np.asarray(v).tolist() for v in seq] for seq in getattr(bnd, d)]
-                for d in DIRECTIONS
-            },
-        },
-    }
+    """Document form of ``problem``: its dataclass fields, in order."""
+    return {"format": "grid-lq-problem", "version": 1, **_plain(problem)}
 
 
 def _record(rec):
