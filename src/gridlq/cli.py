@@ -3,9 +3,8 @@ chosen method, and emit machine-readable reports.
 
 A `run` record's `final_residual` is the residual the CG recurrence last
 computed for pcgm and cg, also on a budget stop or divergence, and the true
-residual max|Delta lam - rhs| for nbjm and dense. `converged` is the CG
-report's flag for pcgm and cg, true residual < tol for nbjm, always true
-for dense, and false for any run stopped by its budget or by divergence.
+residual max|Delta lam - rhs| for nbjm and dense. `converged` is true
+exactly when the run exits 0.
 
 `run` also reports two condition numbers at every size, of the reduced
 operator and of the preconditioned one: Lanczos estimates, hence lower
@@ -71,23 +70,30 @@ CSV_COLUMNS = [
     "kappa_delta", "kappa_preconditioned", "rho_inner_split", "rho_outer_split",
 ]
 
-CASE_ALIASES = {
-    "case1": "msd",
-    "msd": "msd",
-    "case2": "irrigation",
-    "irrigation": "irrigation",
-}
+GENERATORS = {"msd": generate_msd_case, "irrigation": generate_irrigation_case}
+CASE_ALIASES = {"case1": "msd", "case2": "irrigation", **{case: case for case in GENERATORS}}
+SOLVERS = ("pcgm", "cg", "nbjm", "dense")
 
 
-def _build_problem(args, size):
+def _sweep_sizes(text):
+    """Parse --sweep; an entry that is not an integer gives no sizes, which
+    `_spec_errors` rejects."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        return []
+
+
+def _problems(args):
+    """Yield (problem, label) for each size the flags name; `_spec_errors`
+    has checked them. --K/--N/--T override the size they are given with."""
     if args.problem_file:
-        problem = load_problem(args.problem_file)
-        return problem, "file"
+        yield load_problem(args.problem_file), "file"
+        return
     case = CASE_ALIASES[args.case]
-    k, n, t = (size if dim is None else dim for dim in (args.K, args.N, args.T))
-    if case == "msd":
-        return generate_msd_case(k, n, t, args.seed), case
-    return generate_irrigation_case(k, n, t, seed=args.seed), case
+    for size in getattr(args, "sweep", None) or [args.size]:
+        k, n, t = (size if dim is None else dim for dim in (args.K, args.N, args.T))
+        yield GENERATORS[case](k, n, t, seed=args.seed), case
 
 
 def _fmt(value):
@@ -95,8 +101,6 @@ def _fmt(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -131,13 +135,14 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
     """Solve one problem with ``solver`` and return (record, exit status).
     With ``diagnostics`` false the conditioning and splitting-radius
     columns stay blank."""
+    applies = solver in ("pcgm", "nbjm")
     rec = {
         "case": label,
         "K": problem.K,
         "N": problem.N,
         "T": problem.T,
         "solver": solver,
-        "L": args.L if solver in ("pcgm", "nbjm") else None,
+        "L": args.L if applies else None,
         "S": args.S if solver == "pcgm" else None,
         "seed": args.seed,
     }
@@ -154,7 +159,6 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
 
     # an odd inner budget gives a map that is not SPD: no kappa columns
     kappas = diagnostics and args.L % 2 == 0
-    applies = solver in ("pcgm", "nbjm")
     precond = None
     factor_s = 0.0
     status, diverged = EXIT_OK, False
@@ -182,14 +186,11 @@ def _solve_record(problem, label, args, solver, diagnostics=True):
 
     sol, lam = (lam, lam.multipliers) if solver == "dense" else (None, lam)
     rec["steps"] = steps
+    rec["converged"] = status == EXIT_OK
     if report is not None:
         rec["final_residual"] = report.final_residual
     elif lam is not None:
         rec["final_residual"] = float(np.max(np.abs(schur.apply(lam) - stacked.offset)))
-    rec["converged"] = status == EXIT_OK and (
-        report.converged if report is not None
-        else solver == "dense" or rec["final_residual"] < args.tol
-    )
     if sol is None and lam is not None:
         sol = recover_solution(stacked, lam)
     solve_s = time.perf_counter() - t0
@@ -223,9 +224,8 @@ def _add_common(parser):
                         help="problem family (case1/msd or case2/irrigation)")
     parser.add_argument("--problem-file", help="load a problem JSON instead of generating")
     parser.add_argument("--size", type=int, help="K = N = T = SIZE")
-    parser.add_argument("--K", type=int)
-    parser.add_argument("--N", type=int)
-    parser.add_argument("--T", type=int)
+    for dim in ("K", "N", "T"):
+        parser.add_argument(f"--{dim}", type=int)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--L", type=int, default=2, help="inner sweep budget")
     parser.add_argument("--S", type=int, default=2, help="outer sweep budget")
@@ -251,45 +251,19 @@ def _parser():
 
     run = sub.add_parser("run", help="solve one size or a sweep and emit a report")
     _add_common(run)
-    run.add_argument("--sweep", help="comma-separated sizes, e.g. 2,3,4")
-    run.add_argument("--solver", choices=["pcgm", "cg", "nbjm", "dense"],
-                     default="pcgm")
+    run.add_argument("--sweep", type=_sweep_sizes, help="comma-separated sizes, e.g. 2,3,4")
+    run.add_argument("--solver", choices=SOLVERS, default="pcgm")
     run.add_argument("--output", help="report file (stdout when omitted)")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 
     cmp_cmd = sub.add_parser("compare", help="run two solvers on the same problem")
     _add_common(cmp_cmd)
-    cmp_cmd.add_argument("--solver-a", choices=["pcgm", "cg", "nbjm", "dense"],
-                         default="pcgm")
-    cmp_cmd.add_argument("--solver-b", choices=["pcgm", "cg", "nbjm", "dense"],
-                         default="dense")
+    cmp_cmd.add_argument("--solver-a", choices=SOLVERS, default="pcgm")
+    cmp_cmd.add_argument("--solver-b", choices=SOLVERS, default="dense")
     return parser
 
 
-def _sizes(args):
-    if getattr(args, "sweep", None):
-        sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
-        if not sizes:
-            raise ValueError("empty sweep list")
-        return sizes
-    if args.size is not None:
-        return [args.size]
-    dims = (args.K, args.N, args.T)
-    if dims != (None, None, None):
-        if None in dims:
-            raise ValueError("provide all of --K --N --T, or --size")
-        return [None]
-    if args.problem_file:
-        return [None]
-    raise ValueError("no problem size given (use --size, --sweep or --K/--N/--T)")
-
-
 def _run(args):
-    try:
-        sizes = _sizes(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     # opened before any solve, so an unwritable report path costs no work
     try:
         out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
@@ -297,33 +271,26 @@ def _run(args):
         print(f"error: cannot write --output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     records = []
-    status = EXIT_OK
     with out as stream:
-        for size in sizes:
-            try:
-                problem, label = _build_problem(args, size)
-            except (InvalidProblemError, OSError) as exc:
-                print(f"invalid problem: {exc}", file=sys.stderr)
-                status = EXIT_INVALID
-                break
-            rec, code = _solve_record(problem, label, args, args.solver)
-            records.append(rec)
-            if code != EXIT_OK:
-                status = code
-                break
+        # only loading a problem raises these: _solve_record reports its own failures
+        try:
+            for problem, label in _problems(args):
+                rec, status = _solve_record(problem, label, args, args.solver)
+                records.append(rec)
+                if status != EXIT_OK:
+                    break
+        except (InvalidProblemError, OSError) as exc:
+            print(f"invalid problem: {exc}", file=sys.stderr)
+            status = EXIT_INVALID
         _emit(records, args, stream)
     return status
 
 
 def _compare(args):
     try:
-        _sizes(args)
-        problem, label = _build_problem(args, args.size)
+        problem, label = next(_problems(args))
     except (InvalidProblemError, OSError) as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     # compare prints no conditioning column, so it skips the diagnostics
     rec_a, code_a = _solve_record(problem, label, args, args.solver_a, diagnostics=False)
@@ -352,9 +319,9 @@ def _compare(args):
 
 
 def _spec_errors(args):
-    """Violations of the solver spec, checked before any work."""
+    """Violations of the solver and size spec, checked before any work."""
     errors = []
-    for name in ("L", "S", "max_steps", "max_outer", "threads"):
+    for name in ("L", "S", "max_steps", "max_outer", "threads", "max_dense_dim"):
         value = getattr(args, name)
         if value is not None and value < 1:
             errors.append(f"--{name.replace('_', '-')} must be at least 1, got {value}")
@@ -365,9 +332,19 @@ def _spec_errors(args):
     solvers = (args.solver,) if args.command == "run" else (args.solver_a, args.solver_b)
     if "pcgm" in solvers and args.L % 2:
         errors.append(f"--L must be even for pcgm, got {args.L}")
+    sweep = getattr(args, "sweep", None)
     sized = [f for f in ("size", "sweep", "K", "N", "T") if getattr(args, f, None) is not None]
-    if args.problem_file and sized:
-        errors.append("--problem-file takes no size flags, got --" + " --".join(sized))
+    if args.problem_file:
+        if sized:
+            errors.append("--problem-file takes no size flags, got --" + " --".join(sized))
+    elif sweep is not None:
+        if args.size is not None:
+            errors.append("--sweep and --size are exclusive")
+        if not sweep:
+            errors.append("--sweep takes comma-separated integer sizes, e.g. 2,3,4")
+    elif args.size is None and len(sized) < 3:
+        errors.append("provide all of --K --N --T, or --size" if sized else
+                      "no problem size given (use --size, --sweep or --K/--N/--T)")
     return errors
 
 
@@ -377,9 +354,7 @@ def main(argv=None):
     if errors:
         print("error: " + "; ".join(errors), file=sys.stderr)
         return EXIT_INVALID
-    if args.command == "run":
-        return _run(args)
-    return _compare(args)
+    return _run(args) if args.command == "run" else _compare(args)
 
 
 if __name__ == "__main__":

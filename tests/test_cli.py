@@ -208,6 +208,7 @@ class TestRun:
         ["--tol", "nan"], ["--tol", "inf"], ["--max-steps", "0"],
         ["--max-outer", "0", "--solver", "nbjm"],
         ["--L", "1", "--solver", "nbjm", "--S", "0"], ["--seed", "-1"],
+        ["--max-dense-dim", "0"], ["--sweep", "3"], ["--sweep", "2,x"], ["--sweep", ","],
     ])
     def test_bad_solver_spec_exit_code(self, capsys, spec):
         code, out, err = run_cli(capsys, "run", "--case", "case1", "--size", "2", *spec)
@@ -538,6 +539,14 @@ class TestCompare:
         assert code == 0, err
         rec = parse_csv(out)[0]
         assert rec["rho_inner_split"] != "" and rec["rho_outer_split"] != ""
+
+    def test_problem_file(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        save_problem(generate_msd_case(2, 2, 2, seed=0), path)
+        code, out, err = run_cli(capsys, "compare", "--problem-file", str(path),
+                                 "--solver-a", "pcgm", "--solver-b", "dense")
+        assert code == 0, err
+        assert any(line.startswith("objective") for line in out.splitlines())
 
     def test_pcgm_vs_nbjm_steps(self, capsys):
         code, out, _ = run_cli(
