@@ -20,6 +20,8 @@ Exit codes: 0 success; 1 `compare` objectives differ by more than 1e-6
 relative; 2 invalid problem or solver spec, including a problem whose
 reduced operator is not numerically positive definite; 3 non-convergence
 or divergence; 4 dimension guard. Each failure prints one line to stderr.
+`compare` sets its problem up once for both solvers: a set-up failure
+prints one line and runs neither.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ CSV_COLUMNS = [
 GENERATORS = {"msd": generate_msd_case, "irrigation": generate_irrigation_case}
 CASE_ALIASES = {"case1": "msd", "case2": "irrigation", **{case: case for case in GENERATORS}}
 SOLVERS = ("pcgm", "cg", "nbjm", "dense")
+APPLIED = {"pcgm", "nbjm"}  # the solvers that apply the preconditioner
+FAILURES = {
+    InvalidProblemError: (EXIT_INVALID, "invalid problem"),
+    OSError: (EXIT_INVALID, "invalid problem"),
+    NotPositiveDefiniteError: (EXIT_INVALID, "invalid problem"),
+    BreakdownError: (EXIT_INVALID, "invalid problem"),
+    MaxIterationsExceeded: (EXIT_NO_CONVERGENCE, "solver did not converge"),
+    DimensionGuardError: (EXIT_DIMENSION_GUARD, "dimension guard"),
+}
 
 
 def _sweep_sizes(text):
@@ -115,9 +126,17 @@ def _emit(records, args, stream):
         stream.write("\n")
 
 
+def _failure(exc, prefix=None):
+    """Print ``exc``'s one stderr line and return its exit status, as FAILURES says."""
+    status, default = next(FAILURES[t] for t in type(exc).__mro__ if t in FAILURES)
+    text = "; ".join(exc.messages) if isinstance(exc, InvalidProblemError) else exc
+    print(f"{prefix or default}: {text}", file=sys.stderr)
+    return status
+
+
 def _solve(solver, problem, stacked, schur, precond, args):
-    """Run ``solver`` once and return (multipliers, or the dense oracle's
-    solution; the CG SolveReport or None; step count)."""
+    """Run ``solver`` once and return (multipliers, the dense oracle's
+    solution or None, the CG SolveReport or None, step count)."""
     if solver == "pcgm":
         lam, report = pcg_solve(schur, precond, stacked.offset, tol=args.tol,
                                 max_steps=args.max_steps)
@@ -125,98 +144,81 @@ def _solve(solver, problem, stacked, schur, precond, args):
         lam, report = cg_solve(schur, stacked.offset, tol=args.tol, max_steps=args.max_steps)
     elif solver == "nbjm":
         lam, outers = precond.solve(stacked.offset, tol=args.tol, max_outer=args.max_outer)
-        return lam, None, outers
+        return lam, None, None, outers
     else:
-        return dense_reference_solve(problem, max_dim=args.max_dense_dim), None, 1
-    return lam, report, report.steps
+        sol = dense_reference_solve(problem, max_dim=args.max_dense_dim)
+        return sol.multipliers, sol, None, 1
+    return lam, None, report, report.steps
 
 
-def _solve_record(problem, label, args, solver, diagnostics=True):
-    """Solve one problem with ``solver`` and return (record, exit status).
-    With ``diagnostics`` false the conditioning and splitting-radius
-    columns stay blank."""
-    applies = solver in ("pcgm", "nbjm")
-    rec = {
-        "case": label,
-        "K": problem.K,
-        "N": problem.N,
-        "T": problem.T,
-        "solver": solver,
-        "L": args.L if applies else None,
-        "S": args.S if solver == "pcgm" else None,
-        "seed": args.seed,
-    }
-
-    t0 = time.perf_counter()
+def _solve_records(problem, label, args, solvers):
+    """Set ``problem`` up once and solve it with each of ``solvers``; return
+    (their records, the first failing exit status or EXIT_OK). A set-up
+    failure runs no solver. Only `run` fills the diagnostic columns."""
+    records = [dict(case=label, K=problem.K, N=problem.N, T=problem.T, solver=solver,
+                    L=args.L if solver in APPLIED else None,
+                    S=args.S if solver == "pcgm" else None, seed=args.seed)
+               for solver in solvers]
+    diagnostics = args.command == "run"
     try:
-        stacked = build_stacked(problem)
-    except InvalidProblemError as exc:
-        print("invalid problem: " + "; ".join(exc.messages), file=sys.stderr)
-        return rec, EXIT_INVALID
-    schur = build_schur(stacked)
-    assembly_s = time.perf_counter() - t0
-    rec["unknowns"] = stacked.layout.n_total
-
-    # an odd inner budget gives a map that is not SPD: no kappa columns
-    kappas = diagnostics and args.L % 2 == 0
-    precond = None
-    factor_s = 0.0
-    status, diverged = EXIT_OK, False
-    try:
-        if applies or diagnostics:
-            t0 = time.perf_counter()
-            precond = NestedJacobiPreconditioner(schur, inner_sweeps=args.L, outer_sweeps=args.S,
-                                                 splitting=build_splitting(schur))
-            # cg and dense never apply it: only the diagnostics need it
-            if applies:
-                factor_s = time.perf_counter() - t0
-
         t0 = time.perf_counter()
-        lam, report, steps = _solve(solver, problem, stacked, schur, precond, args)
-    except MaxIterationsExceeded as exc:
-        lam, report, steps = exc.iterate, exc.report, exc.iterations
-        status, diverged = EXIT_NO_CONVERGENCE, isinstance(exc, DivergenceError)
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-    except DimensionGuardError as exc:
-        print(f"dimension guard: {exc}", file=sys.stderr)
-        return rec, EXIT_DIMENSION_GUARD
-    except (NotPositiveDefiniteError, BreakdownError) as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return rec, EXIT_INVALID
+        stacked = build_stacked(problem)
+        schur = build_schur(stacked)
+        assembly_s = time.perf_counter() - t0
+        for rec in records:
+            rec["unknowns"] = stacked.layout.n_total
+        t0 = time.perf_counter()
+        precond = (NestedJacobiPreconditioner(schur, inner_sweeps=args.L, outer_sweeps=args.S,
+                                              splitting=build_splitting(schur))
+                   if diagnostics or APPLIED.intersection(solvers) else None)
+        factor_s = time.perf_counter() - t0
+    except tuple(FAILURES) as exc:
+        return records, _failure(exc)
 
-    sol, lam = (lam, lam.multipliers) if solver == "dense" else (None, lam)
-    rec["steps"] = steps
-    rec["converged"] = status == EXIT_OK
-    if report is not None:
-        rec["final_residual"] = report.final_residual
-    elif lam is not None:
-        rec["final_residual"] = float(np.max(np.abs(schur.apply(lam) - stacked.offset)))
-    if sol is None and lam is not None:
-        sol = recover_solution(stacked, lam)
-    solve_s = time.perf_counter() - t0
+    failed = []
+    for solver, rec in zip(solvers, records):
+        converged, diverged = True, False
+        t0 = time.perf_counter()
+        try:
+            lam, sol, report, steps = _solve(solver, problem, stacked, schur, precond, args)
+        except tuple(FAILURES) as exc:
+            failed.append(_failure(exc))
+            if not isinstance(exc, MaxIterationsExceeded):
+                continue
+            lam, sol, report, steps = exc.iterate, None, exc.report, exc.iterations
+            converged, diverged = False, isinstance(exc, DivergenceError)
+        rec.update(steps=steps, converged=converged)
+        if report is not None:
+            rec["final_residual"] = report.final_residual
+        elif lam is not None:
+            rec["final_residual"] = float(np.max(np.abs(schur.apply(lam) - stacked.offset)))
+        if sol is None and lam is not None:
+            sol = recover_solution(stacked, lam)
+        solve_s = time.perf_counter() - t0
 
-    if sol is not None:
-        rec["objective"] = sol.objective_value
-        rx, ru, rdyn = kkt_residual(stacked, sol)
-        rec["kkt_stationarity_x"] = rx
-        rec["kkt_stationarity_u"] = ru
-        rec["kkt_dynamics"] = rdyn
+        if sol is not None:
+            rec["objective"] = sol.objective_value
+            (rec["kkt_stationarity_x"], rec["kkt_stationarity_u"],
+             rec["kkt_dynamics"]) = kkt_residual(stacked, sol)
 
-    pre = None
-    if kappas:
-        # a diverged run's coefficients estimate no spectrum
-        own = None if diverged else report
-        cg_args = {"rhs": stacked.offset, "tol": args.tol, "max_steps": args.max_steps}
-        plain = own if solver == "cg" else spectrum_report(cg_solve, schur, **cg_args)
-        rec["kappa_delta"] = None if plain is None else plain.kappa_estimate
-        pre = own if solver == "pcgm" else spectrum_report(pcg_solve, schur, precond, **cg_args)
-        rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
-    if diagnostics:
-        rec["rho_inner_split"], rec["rho_outer_split"] = precond.splitting_radii(pre)
+        pre = None
+        # an odd inner budget gives a map that is not SPD: no kappa columns
+        if diagnostics and args.L % 2 == 0:
+            # a diverged run's coefficients estimate no spectrum
+            own = None if diverged else report
+            cg_args = {"rhs": stacked.offset, "tol": args.tol, "max_steps": args.max_steps}
+            plain = own if solver == "cg" else spectrum_report(cg_solve, schur, **cg_args)
+            rec["kappa_delta"] = None if plain is None else plain.kappa_estimate
+            pre = own if solver == "pcgm" else spectrum_report(pcg_solve, schur, precond, **cg_args)
+            rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
+        if diagnostics:
+            rec["rho_inner_split"], rec["rho_outer_split"] = precond.splitting_radii(pre)
 
-    if not args.omit_timings:
-        rec.update(assembly_s=assembly_s, factor_s=factor_s, solve_s=solve_s)
-    return rec, status
+        # cg and dense never apply the preconditioner: its set-up is not theirs
+        if not args.omit_timings:
+            rec.update(assembly_s=assembly_s, factor_s=factor_s if solver in APPLIED else 0.0,
+                       solve_s=solve_s)
+    return records, failed[0] if failed else EXIT_OK
 
 
 def _add_common(parser):
@@ -268,20 +270,18 @@ def _run(args):
     try:
         out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: cannot write --output: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _failure(exc, "error: cannot write --output")
     records = []
     with out as stream:
-        # only loading a problem raises these: _solve_record reports its own failures
+        # only loading a problem raises these: _solve_records reports its own failures
         try:
             for problem, label in _problems(args):
-                rec, status = _solve_record(problem, label, args, args.solver)
-                records.append(rec)
+                recs, status = _solve_records(problem, label, args, [args.solver])
+                records += recs
                 if status != EXIT_OK:
                     break
         except (InvalidProblemError, OSError) as exc:
-            print(f"invalid problem: {exc}", file=sys.stderr)
-            status = EXIT_INVALID
+            status = _failure(exc)
         _emit(records, args, stream)
     return status
 
@@ -290,11 +290,8 @@ def _compare(args):
     try:
         problem, label = next(_problems(args))
     except (InvalidProblemError, OSError) as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    # compare prints no conditioning column, so it skips the diagnostics
-    rec_a, code_a = _solve_record(problem, label, args, args.solver_a, diagnostics=False)
-    rec_b, code_b = _solve_record(problem, label, args, args.solver_b, diagnostics=False)
+        return _failure(exc)
+    (rec_a, rec_b), status = _solve_records(problem, label, args, [args.solver_a, args.solver_b])
 
     fields = ["solver", "steps", "converged", "final_residual", "objective",
               "kkt_dynamics", "solve_s"]
@@ -303,8 +300,8 @@ def _compare(args):
     widths = [max(len(row[c]) for row in table) + 2 for c in range(3)]
     for row in table:
         print("".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    if code_a or code_b:
-        return code_a or code_b
+    if status != EXIT_OK:
+        return status
 
     obj_a, obj_b = rec_a["objective"], rec_b["objective"]
     scale = max(abs(obj_a), abs(obj_b), 1e-30)

@@ -175,16 +175,21 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert calls == []
 
-    def test_validates_once_per_solve(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, problems", [
+        (("run", "--case", "case1", "--sweep", "2,3"), 2),
+        # compare sets its one problem up once for both solvers
+        (("compare", "--case", "msd", "--size", "2"), 1),
+    ], ids=["run", "compare"])
+    def test_validates_once_per_solve(self, capsys, monkeypatch, argv, problems):
         # validate and build_stacked both run the one checking pass
         calls = []
         padded = grid_problem._padded
         counted = lambda p, **kw: calls.append(p) or padded(p, **kw)  # noqa: E731
         monkeypatch.setattr(grid_problem, "_padded", counted)
         monkeypatch.setattr(kkt_assembly, "_padded", counted)
-        code, _, _ = run_cli(capsys, "run", "--case", "case1", "--sweep", "2,3")
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == problems
 
     def test_lanczos_extremes_once_per_report(self, capsys, monkeypatch):
         # the cg run, the pcgm solve (both its kappa and the outer radius)
@@ -547,6 +552,38 @@ class TestCompare:
                                  "--solver-a", "pcgm", "--solver-b", "dense")
         assert code == 0, err
         assert any(line.startswith("objective") for line in out.splitlines())
+
+    def test_sets_up_once(self, capsys, monkeypatch):
+        # both solvers apply the preconditioner: one assembly, one factorization
+        calls = []
+        for name in ("build_stacked", "build_schur", "NestedJacobiPreconditioner"):
+            built = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, name=name, built=built, **kw:
+                                calls.append(name) or built(*a, **kw))
+        code, _, err = run_cli(capsys, "compare", "--case", "msd", "--size", "3",
+                               "--solver-a", "pcgm", "--solver-b", "nbjm")
+        assert code == 0, err
+        assert calls == ["build_stacked", "build_schur", "NestedJacobiPreconditioner"]
+
+    @pytest.mark.parametrize("corrupt", ["null_a", "huge_q"])
+    def test_setup_failure_reported_once(self, capsys, tmp_path, corrupt):
+        # a problem that fails validation, and one whose pair factorization
+        # meets a 1e-300 pivot: one line, and neither solver runs
+        p = generate_msd_case(2, 2, 2, seed=0)
+        if corrupt == "huge_q":
+            for i in range(2):
+                for j in range(2):
+                    p.sub(i, j).Q = [1e300 * np.eye(4)] * 3
+        doc = problem_to_dict(p)
+        if corrupt == "null_a":
+            doc["subsystems"][0][0]["A"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compare", "--problem-file", str(path),
+                                 "--solver-a", "pcgm", "--solver-b", "dense")
+        assert code == 2
+        assert err.startswith("invalid problem:") and err.count("\n") == 1
+        assert [line.split() for line in out.splitlines() if line.startswith("steps")] == [["steps"]]
 
     def test_pcgm_vs_nbjm_steps(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,8 @@ the dense iteration matrices on every instance. Hypothesis draws the shape and a
 seed draws the data.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from gridlq import (
     build_stacked,
     cg_solve,
     dense_reference_solve,
+    kkt_assembly,
     kkt_residual,
     pcg_solve,
     recover_solution,
@@ -123,3 +126,10 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
     inner, outer = precond.splitting_radii(report)
     assert abs(inner - rho_inner) <= 1e-8
     assert abs(outer - rho_outer) <= rho_inner**2 + 1e-6
+
+
+def test_structured_solvers_match_dense_oracle_on_pair_sweeps():
+    # every pair takes the block tri-diagonal sweep, none its dense inverse;
+    # hypothesis refuses function-scoped fixtures, hence mock, not monkeypatch
+    with mock.patch.object(kkt_assembly, "DENSE_PAIR_ROWS", 0):
+        test_structured_solvers_match_dense_oracle()
