@@ -27,34 +27,23 @@ def transposed(m):
     return m.swapaxes(-1, -2)
 
 
-def symmetry_defect(m):
-    """max |M - M'| normalized by max(1, max |M|); the largest over a batch."""
-    m = np.asarray(m, dtype=float)
-    if not m.size:
-        return 0.0
-    with np.errstate(invalid="ignore"):
-        defect = np.max(np.abs(m - transposed(m)), axis=(-2, -1))
-        return float(np.max(defect / np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))))
-
-
-def check_symmetric(m, rtol=SYMMETRY_RTOL):
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"expected square matrices, got shape {m.shape}")
-    if symmetry_defect(m) > rtol:
-        raise DimensionMismatchError("matrix is not symmetric within tolerance")
-    return m
-
-
 def dense_cholesky(m):
     """Lower-triangular L with L @ L.T == m, for symmetric positive definite m
     or a batch of them.
 
     Unblocked column algorithm. Raises NotPositiveDefiniteError when a pivot
     is not above PIVOT_RTOL times the largest diagonal entry of its matrix,
-    which includes every non-finite pivot.
+    which includes every non-finite pivot. Raises DimensionMismatchError
+    unless m is square and every matrix is symmetric to SYMMETRY_RTOL times
+    max(1, its largest entry); a NaN entry is left to the pivot check.
     """
-    m = check_symmetric(m)
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {m.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1), keepdims=True, initial=0.0))
+    with np.errstate(invalid="ignore"):
+        if np.any(np.abs(m - transposed(m)) > SYMMETRY_RTOL * scale):
+            raise DimensionMismatchError("matrix is not symmetric within tolerance")
     n = m.shape[-1]
     lower = np.zeros_like(m)
     if n == 0:

@@ -201,17 +201,18 @@ def _solve_records(problem, label, args, solvers):
             (rec["kkt_stationarity_x"], rec["kkt_stationarity_u"],
              rec["kkt_dynamics"]) = kkt_residual(stacked, sol)
 
-        pre = None
-        # an odd inner budget gives a map that is not SPD: no kappa columns
-        if diagnostics and args.L % 2 == 0:
+        if diagnostics:
             # a diverged run's coefficients estimate no spectrum
             own = None if diverged else report
             cg_args = {"rhs": stacked.offset, "tol": args.tol, "max_steps": args.max_steps}
             plain = own if solver == "cg" else spectrum_report(cg_solve, schur, **cg_args)
             rec["kappa_delta"] = None if plain is None else plain.kappa_estimate
-            pre = own if solver == "pcgm" else spectrum_report(pcg_solve, schur, precond, **cg_args)
-            rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
-        if diagnostics:
+            # an odd inner budget's map is not SPD: no preconditioned kappa or outer radius
+            pre = None
+            if args.L % 2 == 0:
+                pre = own if solver == "pcgm" else spectrum_report(
+                    pcg_solve, schur, precond, **cg_args)
+                rec["kappa_preconditioned"] = None if pre is None else pre.kappa_estimate
             rec["rho_inner_split"], rec["rho_outer_split"] = precond.splitting_radii(pre)
 
         # cg and dense never apply the preconditioner: its set-up is not theirs

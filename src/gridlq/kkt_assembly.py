@@ -226,15 +226,14 @@ class _PairFactor:
     It assembles each pair block as a block tri-diagonal matrix: block row r
     holds the 2 x 2 subsystems at positions 2r, 2r + 1 along the shorter
     grid axis of the pair's two ``axis`` lines, with batch axes (t, line
-    pair) and entries (line in pair, position in pair, entry). A pair of at
-    most DENSE_PAIR_ROWS block rows keeps only ``inverse``: each block's
-    inverse, swept from the identity through its Cholesky factor, read in
-    the padded pair order (t, line pair, pair entry) and symmetrized, applied
-    in one product. A deeper pair keeps the ``BlockTridiagCholesky`` as
-    ``cholesky`` and sweeps. A solve reads the padded operand as (t, column
-    pair, column, row pair, row, entry, k) and transposes it into ``order``,
-    the pair order or the block-row order: for column pairs, the pair order
-    is a reshape.
+    pair) and entries (line in pair, position in pair, entry). A solve reads
+    the padded operand as (t, column pair, column, row pair, row, entry, k)
+    and transposes it into ``order``, the pair order (t, line pair, pair
+    entry, k): for column pairs, a reshape. A deeper pair than
+    DENSE_PAIR_ROWS block rows keeps the ``BlockTridiagCholesky`` as
+    ``cholesky`` and sweeps it (``_sweep``); a shallower one keeps only
+    ``inverse``, that sweep of the identity's columns symmetrized, applied
+    in one product.
     """
 
     def __init__(self, diag, axis):
@@ -251,33 +250,34 @@ class _PairFactor:
                         blocks[-s][..., c, a, :, c + dc, a2, :] = w[:, c::2, a::2].transpose(
                             2, 0, 1, 3, 4)
         blocks = blocks.reshape(2, depth // 2, stages, lines // 2, 4 * nb, 4 * nb)
-        cholesky = BlockTridiagCholesky(blocks[0], blocks[1])
+        self.cholesky = cholesky = BlockTridiagCholesky(blocks[0], blocks[1])
         self.shape, self.factor_flops = cholesky.shape, cholesky.factor_flops
         self.split = split = (stages, pad.shape[1] // 2, 2, pad.shape[2] // 2, 2, nb)
-        row_order = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (1, 0, 3, 4, 2, 5, 6)
-        pair_order = (0, 1, 2, 3, 4, 5, 6) if axis == 1 else (0, 3, 1, 2, 4, 5, 6)
-        self.cholesky, self.inverse = None, None
-        if depth // 2 > DENSE_PAIR_ROWS:
-            self.cholesky, self.solve_flops, self.order = cholesky, cholesky.solve_flops, row_order
-        else:
-            # the identity's columns in the pair order, swept in block-row order
+        self.order = (0, 1, 2, 3, 4, 5, 6) if axis == 1 else (0, 3, 1, 2, 4, 5, 6)
+        self.rows = (3, 0, 1, 2, 4, 5, 6) if axis == 1 else (2, 0, 1, 4, 3, 5, 6)
+        self.back, self.rows_back = tuple(np.argsort(self.order)), tuple(np.argsort(self.rows))
+        self.inverse, self.solve_flops = None, cholesky.solve_flops
+        if depth // 2 <= DENSE_PAIR_ROWS:
             b = depth // 2 * 4 * nb
             eye = np.broadcast_to(np.eye(b), (stages, lines // 2, b, b))
-            work = eye.reshape(tuple(split[a] for a in pair_order[:6]) + (b,))
-            work = work.transpose(np.argsort(pair_order)).transpose(row_order).copy()
-            cholesky.sweep(work.reshape(self.shape + (-1,)))
-            work = work.transpose(np.argsort(row_order)).transpose(pair_order).reshape(eye.shape)
-            self.inverse = 0.5 * (work + transposed(work))
+            work = self._sweep(eye.reshape(tuple(split[a] for a in self.order[:6]) + (b,)))
+            work = work.reshape(eye.shape)
+            self.cholesky, self.inverse = None, 0.5 * (work + transposed(work))
             self.factor_flops += cholesky.solve_flops * b
-            self.solve_flops, self.order = self.inverse.size, pair_order
-        self.back = tuple(np.argsort(self.order))
+            self.solve_flops = self.inverse.size
+
+    def _sweep(self, x):
+        """``cholesky``'s sweep on a copy of ``x``, an operand in pair order,
+        taken into block-row order (``rows``) and back."""
+        work = x.transpose(self.rows).copy()
+        self.cholesky.sweep(work.reshape(self.shape + (-1,)))
+        return work.transpose(self.rows_back)
 
     def solve(self, b):
         """Solve for a natural-layout operand (dim,) or (dim, k)."""
         x = self.padding.pad(b).reshape(self.split + (-1,)).transpose(self.order)
         if self.inverse is None:
-            x = x.copy()
-            self.cholesky.sweep(x.reshape(self.shape + (-1,)))
+            x = self._sweep(x)
         else:
             x = (self.inverse @ x.reshape(x.shape[:2] + (-1, x.shape[-1]))).reshape(x.shape)
         return self.padding.unpad(x.transpose(self.back), np.ndim(b) == 1)

@@ -1,9 +1,10 @@
 """Nested block Jacobi sweeps over the reduced multiplier operator.
 
-One outer sweep refreshes the right-hand side through the stage couplings;
-each outer sweep runs a fixed number of inner sweeps whose pair-diagonal
-solves are one batched solve over every (pair, stage): one product with the
-inverses of shallow pairs, a block tri-diagonal sweep on deep ones.
+Both levels run one Jacobi recurrence, ``_jacobi``. An outer sweep solves
+with the inner budget of sweeps against the stage couplings; an inner sweep
+with one batched solve over every (pair, stage), one product with the
+inverses of shallow pairs or a block tri-diagonal sweep on deep ones,
+against the inter-pair couplings.
 Run with fixed budgets from a zero start the sweeps are a linear, symmetric
 positive definite map and serve as the conjugate gradient preconditioner;
 the positive definiteness needs an even inner budget, which ``apply``
@@ -31,6 +32,15 @@ RADIUS_STEPS = 30
 
 # key of the batched pair factor in ``NestedJacobiPreconditioner.factors``
 PAIRS = "pairs"
+
+
+def _jacobi(solve, couple, sweeps, rhs):
+    """Jacobi sweeps from a zero start: x = solve(rhs + couple(x)), whose
+    first coupling term vanishes and is skipped."""
+    x = solve(rhs)
+    for _ in range(sweeps - 1):
+        x = solve(rhs + couple(x))
+    return x
 
 
 class NestedJacobiPreconditioner:
@@ -66,17 +76,10 @@ class NestedJacobiPreconditioner:
     # -- sweeps ------------------------------------------------------------
 
     def inner_sweep(self, rhs):
-        """Run the inner budget of sweeps from a zero start.
-
-        Each sweep solves every (pair, stage) block against the rhs plus
-        the inter-pair couplings of the previous sweep's iterate; the first
-        sweep's coupling term vanishes and is skipped. The result is linear
-        in rhs.
-        """
-        theta = self.factors[PAIRS].solve(rhs)
-        for _ in range(self.inner_sweeps - 1):
-            theta = self.factors[PAIRS].solve(rhs + self.splitting.apply_inner_coupling(theta))
-        return theta
+        """The inner budget of sweeps from zero: pair solves against the
+        inter-pair couplings. Linear in rhs."""
+        return _jacobi(self.factors[PAIRS].solve, self.splitting.apply_inner_coupling,
+                       self.inner_sweeps, rhs)
 
     def apply(self, r):
         """The preconditioner map: fixed outer x inner budgets from zero.
@@ -90,10 +93,7 @@ class NestedJacobiPreconditioner:
                 "preconditioner use requires an even inner budget "
                 f"(got {self.inner_sweeps}); odd budgets are standalone-only"
             )
-        delta = self.inner_sweep(r)
-        for _ in range(self.outer_sweeps - 1):
-            delta = self.inner_sweep(r + self.schur.apply_outer_coupling(delta))
-        return delta
+        return _jacobi(self.inner_sweep, self.schur.apply_outer_coupling, self.outer_sweeps, r)
 
     def solve(self, rhs, tol=1e-9, max_outer=50000):
         """Standalone nested Jacobi iteration.

@@ -100,47 +100,40 @@ def tridiagonal_extremes(diag, off):
     diagonal ``diag`` and off-diagonal ``off``, to about 4 eps times its
     norm.
 
-    Sturm-sequence multisection inside the Gershgorin interval: each pass
-    counts the eigenvalues below 63 shifts per extreme with one
-    LDL' pivot recurrence and keeps the pair of neighbouring shifts where
-    the count crosses. A pass costs O(k) time for k rows and nothing but
-    the shifts is stored, so a tridiagonal as wide as the operator stays
-    cheap.
+    Sturm bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), one
+    extreme at a time, inside the Gershgorin interval: the negative pivots
+    of the LDL' factorization of T - shift I count the eigenvalues below the
+    shift, and each count halves the interval holding the extreme. A count
+    costs O(k) time for k rows and stores nothing, so a tridiagonal as wide
+    as the operator stays cheap. As in LAPACK, squared off-diagonals are
+    floored and a zero pivot is replaced by the smallest normal number.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    k = diag.size
-    radius = np.zeros(k)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    radius = np.pad(np.abs(off), (0, 1)) + np.pad(np.abs(off), (1, 0))
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    # row 0 brackets the smallest eigenvalue, row 1 the largest; a count of
-    # at least 1 (at least k) eigenvalues below a shift puts it above it
-    brackets = np.array([[lo, hi], [lo, hi]])
-    targets = (1, k)
-    sections = 63
-    fractions = np.arange(1, sections + 1) / (sections + 1)
-    # a pivot of exactly zero turns into an infinite one and back, never NaN
-    d = diag.tolist()
-    e2 = np.maximum(off * off, np.finfo(float).tiny).tolist()
-    with np.errstate(divide="ignore"):
-        while np.max(brackets[:, 1] - brackets[:, 0]) > tol:
-            shifts = brackets[:, :1] + (brackets[:, 1:] - brackets[:, :1]) * fractions
-            pivot = d[0] - shifts
-            below = (pivot < 0).astype(int)
-            for i in range(1, k):
-                pivot = (d[i] - shifts) - e2[i - 1] / pivot
-                below += pivot < 0
-            for j, target in enumerate(targets):
-                above = np.flatnonzero(below[j] >= target)
-                first = above[0] if above.size else sections
-                if first > 0:
-                    brackets[j, 0] = shifts[j, first - 1]
-                if first < sections:
-                    brackets[j, 1] = shifts[j, first]
-    smallest, largest = brackets.mean(axis=1)
-    return float(smallest), float(largest)
+    tiny = float(np.finfo(float).tiny)
+    # Python floats, ~10x faster here than numpy scalars; e2[0] = 0 starts row 0
+    d, e2 = diag.tolist(), [0.0] + np.maximum(off * off, tiny).tolist()
+
+    def below(shift):
+        count, pivot = 0, 1.0
+        for di, e in zip(d, e2):
+            pivot = (di - shift) - e / pivot
+            if pivot < 0.0:
+                count += 1
+            elif not pivot:
+                pivot = tiny
+        return count
+
+    def bisect(target):
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if below(mid) >= target else (mid, b)
+        return 0.5 * (a + b)
+
+    return bisect(1), bisect(diag.size)
 
 
 def pcg_solve(schur, preconditioner, rhs, tol=1e-9, max_steps=None, callback=None):

@@ -15,6 +15,7 @@ from gridlq import (
     cg_solve,
     cli,
     dense_reference_solve,
+    generate_irrigation_case,
     generate_msd_case,
     grid_problem,
     kkt_assembly,
@@ -233,10 +234,25 @@ class TestRun:
         assert code == 0
         rec = parse_csv(out)[0]
         assert rec["converged"] == "true"
-        # the odd-budget map is not SPD: no kappa columns, and no outer
-        # radius, which comes from the preconditioned kappa's run
-        assert rec["kappa_delta"] == rec["kappa_preconditioned"] == ""
+        # the odd-budget map is not SPD: no preconditioned kappa, and no
+        # outer radius, which comes from the preconditioned kappa's run
+        stacked = build_stacked(generate_irrigation_case(2, 2, 2, seed=0))
+        assert rec["kappa_delta"] == repr(
+            cg_solve(build_schur(stacked), stacked.offset, tol=1e-9)[1].kappa_estimate)
+        assert rec["kappa_preconditioned"] == ""
         assert rec["rho_outer_split"] == ""
+        assert 0 <= float(rec["rho_inner_split"]) < 1
+
+    def test_odd_budget_cg_reports_kappa_delta(self, capsys):
+        # kappa_delta needs no preconditioner, so an odd --L leaves it filled
+        code, out, err = run_cli(capsys, "run", "--case", "msd", "--size", "2",
+                                 "--solver", "cg", "--L", "3")
+        assert code == 0, err
+        rec = parse_csv(out)[0]
+        stacked = build_stacked(generate_msd_case(2, 2, 2, seed=0))
+        _, report = cg_solve(build_schur(stacked), stacked.offset, tol=1e-9)
+        assert rec["kappa_delta"] == repr(report.kappa_estimate)
+        assert rec["kappa_preconditioned"] == rec["rho_outer_split"] == ""
         assert 0 <= float(rec["rho_inner_split"]) < 1
 
     @pytest.mark.parametrize("solver", ["pcgm", "cg"])
@@ -296,7 +312,8 @@ class TestRun:
             rec = parse_csv(out)[0]
             kappas[budget] = (rec["kappa_delta"], rec["kappa_preconditioned"])
         assert all(float(k) > 1 for k in kappas["2"])
-        assert kappas["1"] == ("", "")
+        # only the preconditioned kappa needs the SPD map; plain CG's does not
+        assert kappas["1"] == (kappas["2"][0], "")
 
     def test_diverged_nbjm_reports_kappas(self, capsys, monkeypatch):
         # the extra CG runs estimate the spectrum whatever nbjm did

@@ -12,6 +12,7 @@ seed draws the data.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlq import (
@@ -31,6 +32,8 @@ from gridlq import (
     splitting_spectral_radii,
     validate,
 )
+from gridlq.kkt_assembly import DENSE_PAIR_ROWS
+from gridlq.nested_jacobi import PAIRS
 
 NEIGHBOURS = {"west": (0, -1), "east": (0, 1), "north": (-1, 0), "south": (1, 0)}
 
@@ -85,16 +88,20 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-30)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(K=st.integers(1, 5), N=st.integers(1, 5), T=st.integers(1, 4),
-       boundary_on=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
+def check_against_oracle(K, N, T, boundary_on, seed, mutate=None, inner_tol=1e-8):
+    """Solve ``random_problem(K, N, T, boundary_on, seed)`` by every
+    structured path and check each against the dense oracle, the radii
+    against the dense iteration matrices; the matrix-free inner radius to
+    ``inner_tol``. ``mutate(schur, precond)``, when given, alters the fresh
+    set-up before the solves. Returns the preconditioner."""
     problem = random_problem(K, N, T, boundary_on, seed)
     assert validate(problem) == []
     reference = dense_reference_solve(problem)
     stacked = build_stacked(problem)
     schur = build_schur(stacked)
     precond = NestedJacobiPreconditioner(schur, inner_sweeps=2, outer_sweeps=2)
+    if mutate is not None:
+        mutate(schur, precond)
     lam, report = pcg_solve(schur, precond, stacked.offset, tol=1e-11)
     solutions = {
         "pcgm": lam,
@@ -124,8 +131,23 @@ def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
     # the matrix-free estimates; the outer one is exact only for exact inner
     # solves, and L = 2 sweeps leave an error of order rho_inner^2
     inner, outer = precond.splitting_radii(report)
-    assert abs(inner - rho_inner) <= 1e-8
+    assert abs(inner - rho_inner) <= inner_tol
     assert abs(outer - rho_outer) <= rho_inner**2 + 1e-6
+    return precond
+
+
+def check_pair_solve(precond):
+    """The pair factor inverts the pair diagonal it was built from."""
+    phi = precond.splitting.densify_pair_diag()
+    x = np.random.default_rng(0).standard_normal(precond.dim)
+    assert float(np.max(np.abs(precond.factors[PAIRS].solve(phi @ x) - x))) < 1e-10, "pair solve"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(K=st.integers(1, 5), N=st.integers(1, 5), T=st.integers(1, 4),
+       boundary_on=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_structured_solvers_match_dense_oracle(K, N, T, boundary_on, seed):
+    check_against_oracle(K, N, T, boundary_on, seed)
 
 
 def test_structured_solvers_match_dense_oracle_on_pair_sweeps():
@@ -133,3 +155,51 @@ def test_structured_solvers_match_dense_oracle_on_pair_sweeps():
     # hypothesis refuses function-scoped fixtures, hence mock, not monkeypatch
     with mock.patch.object(kkt_assembly, "DENSE_PAIR_ROWS", 0):
         test_structured_solvers_match_dense_oracle()
+
+
+@pytest.mark.parametrize("rows_longer", [False, True])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(short=st.integers(9, 10), extra=st.integers(1, 3), T=st.integers(1, 2),
+       boundary_on=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_deep_pairs_match_dense_oracle(rows_longer, short, extra, T, boundary_on, seed):
+    # at least 9 lines across: more than DENSE_PAIR_ROWS block rows per pair,
+    # so every instance sweeps; K > N pairs rows, K < N columns. The 30
+    # Lanczos steps of the inner radius resolve it only to ~4e-8 at these
+    # 500-800 unknowns (10 x 13 x 1, seed 43)
+    K, N = (short + extra, short) if rows_longer else (short, short + extra)
+    precond = check_against_oracle(K, N, T, boundary_on, seed, inner_tol=1e-6)
+    assert precond.factors[PAIRS].cholesky is not None
+    assert precond.splitting.axis == (2 if rows_longer else 1)
+    check_pair_solve(precond)
+
+
+# One fixed instance whose set-up each check below perturbs by 1e-3: the
+# suite's checks must notice.
+PROBE = (5, 4, 2, True, 7)
+
+
+def test_oracle_check_catches_a_perturbed_operator():
+    def perturb(schur, precond):
+        # a stage-diagonal block whose source, column 0 and row 1, is on the grid
+        schur.stencil.weights[(0, -2, 0)][1, 2, 1] += 1e-3
+
+    check_against_oracle(*PROBE)
+    with pytest.raises(AssertionError, match="pcgm"):
+        check_against_oracle(*PROBE, mutate=perturb)
+
+
+@pytest.mark.parametrize("dense_rows", [DENSE_PAIR_ROWS, 0])
+def test_pair_solve_check_catches_a_perturbed_factor(dense_rows):
+    # PCG converges under any SPD preconditioner, so a perturbed pair factor
+    # passes the oracle check on this instance: the pair solve must fail
+    with mock.patch.object(kkt_assembly, "DENSE_PAIR_ROWS", dense_rows):
+        precond = NestedJacobiPreconditioner(build_schur(build_stacked(random_problem(*PROBE))))
+    factor = precond.factors[PAIRS]
+    assert (factor.inverse is None) == (dense_rows == 0)
+    check_pair_solve(precond)
+    if factor.inverse is not None:
+        factor.inverse[0, 0] += 1e-3  # a rank-one SPD update of one pair's inverse
+    else:
+        factor.cholesky.linv[0, 0, 0] += 1e-3
+    with pytest.raises(AssertionError, match="pair solve"):
+        check_pair_solve(precond)
